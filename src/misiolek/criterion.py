@@ -122,11 +122,21 @@ class MCReport:
 
     @property
     def flat_over_pi(self) -> Fraction:
-        return sum((s.contribution_over_pi for s in self.summands), Fraction(0))
+        return _sum_over_pi(self.summands)
 
     @property
     def value_float(self) -> float:
         return self.value.to_float()
+
+
+def _sum_over_pi(summands: Sequence[MCSummand]) -> Fraction:
+    """Sum of the summand contributions, over one common denominator."""
+    num, den = 0, 1
+    for s in summands:
+        g_sq = s.g_squared_over_pi
+        num = num * g_sq.denominator + g_sq.numerator * s.weight * den
+        den *= g_sq.denominator
+    return Fraction(num, den)
 
 
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
@@ -142,7 +152,7 @@ def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
 def _report(summands: Tuple[MCSummand, ...], delta: Fraction = Fraction(0),
             slope: MCValue = MCValue.zero(), rotation: Fraction = Fraction(0),
             extra_const: Fraction = Fraction(0)) -> MCReport:
-    over_pi = sum((s.contribution_over_pi for s in summands), Fraction(0))
+    over_pi = _sum_over_pi(summands)
     coriolis = slope.scale(rotation)
     value = MCValue(delta + extra_const, over_pi) + coriolis
     return MCReport(summands, value, delta, slope, coriolis, rotation)

@@ -14,6 +14,7 @@ Y*_{lm} = (-1)^m Y_{l,-m}; the Legendre recurrences are phase-free.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
@@ -29,22 +30,24 @@ def legendre_p(l: int, m: int, mu: ArrayLike) -> ArrayLike:
     """Associated Legendre function P^m_l (Ferrers, no phase), 0 <= m <= l.
 
     Plain upward recurrence in the degree; adequate for the moderate
-    degrees the oracle grids ever see.
+    degrees the oracle grids ever see.  Raises OverflowError where the
+    unnormalised values leave double range (from order about 150 on).
     """
     if not 0 <= m <= l:
         raise ValueError("requires 0 <= m <= l")
     mu = np.asarray(mu, dtype=float)
     s = np.sqrt(1.0 - mu * mu)
     # P^m_m = (2m-1)!! * s^m
-    p_mm = np.ones_like(mu)
+    p = np.ones_like(mu)
     for k in range(1, m + 1):
-        p_mm = p_mm * (2 * k - 1) * s
-    if l == m:
-        return p_mm
-    p_prev, p_cur = p_mm, mu * (2 * m + 1) * p_mm
-    for deg in range(m + 2, l + 1):
-        p_prev, p_cur = p_cur, (mu * (2 * deg - 1) * p_cur - (deg + m - 1) * p_prev) / (deg - m)
-    return p_cur
+        p = p * (2 * k - 1) * s
+    if l > m:
+        p_prev, p = p, mu * (2 * m + 1) * p
+        for deg in range(m + 2, l + 1):
+            p_prev, p = p, (mu * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
+    if not np.all(np.isfinite(p)):
+        raise OverflowError(f"P^{m}_{l} exceeds double range")
+    return p
 
 
 def legendre_p_deriv(l: int, m: int, mu: ArrayLike) -> ArrayLike:
@@ -59,11 +62,17 @@ def legendre_p_deriv(l: int, m: int, mu: ArrayLike) -> ArrayLike:
 
 
 def _norm_coeff(l: int, m: int) -> float:
-    """C^m_l = phase * sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!), exact ratio first."""
+    """C^m_l = phase * sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!), exact ratio first.
+
+    Raises OverflowError where the ratio falls below the normal double range
+    (for l = |m| from 86 on), instead of losing precision and then reading 0.
+    """
     am = abs(m)
-    ratio = Fraction(math.factorial(l - am), math.factorial(l + am))
+    ratio = float(Fraction(math.factorial(l - am), math.factorial(l + am)))
+    if ratio < sys.float_info.min:
+        raise OverflowError(f"(l-|m|)!/(l+|m|)! for l={l}, m={m} is below double range")
     phase = -1.0 if (m > 0 and m % 2) else 1.0
-    return phase * math.sqrt((2 * l + 1) * float(ratio) / (4.0 * math.pi))
+    return phase * math.sqrt((2 * l + 1) * ratio / (4.0 * math.pi))
 
 
 def ylm_eval(idx: HarmonicIndex, lam: ArrayLike, mu: ArrayLike) -> complex:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import ClassVar, Iterator, List, Tuple
 
 from .exact import RationalLike, SignedSqrtRational
 from .wigner import _parity, threej_lm
@@ -39,16 +39,16 @@ class HarmonicIndex:
         return HarmonicIndex(self.l, -self.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureValue:
-    """Exact value ``root * pi**pi_exp`` with pi_exp in {0, -1/2}.
+    """Exact value ``root * pi**pi_exp`` of a structure constant.
 
-    Structure constants are square roots of rationals divided by sqrt(pi);
-    pi_exp 0 covers plain radicals such as the L123 prefactor.
+    Structure constants are square roots of rationals divided by sqrt(pi),
+    so pi_exp is the constant -1/2.
     """
 
     root: SignedSqrtRational
-    pi_exp: Fraction = Fraction(-1, 2)
+    pi_exp: ClassVar[Fraction] = Fraction(-1, 2)
 
     def is_zero(self) -> bool:
         return self.root.is_zero()
@@ -62,22 +62,28 @@ class StructureValue:
         return self.root.square()
 
     def scale(self, factor: RationalLike) -> "StructureValue":
-        return StructureValue(self.root.scale(factor), self.pi_exp)
+        return StructureValue(self.root.scale(factor))
 
     def __neg__(self) -> "StructureValue":
-        return StructureValue(-self.root, self.pi_exp)
+        return StructureValue(-self.root)
 
     def to_float(self) -> float:
-        return self.root.to_float() * math.pi ** float(self.pi_exp)
+        return self.root.to_float() * _PI_POWER
+
+
+_PI_POWER = math.pi ** float(StructureValue.pi_exp)
+_ZERO = StructureValue(SignedSqrtRational.zero())
+
+
+def _l123_squared(l1: int, l2: int, l3: int) -> int:
+    return (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)
 
 
 def l123(l1: int, l2: int, l3: int) -> SignedSqrtRational:
     """Positive prefactor sqrt((2l1+1)(2l2+1)(2l3+1) l1(l1+1) l2(l2+1))."""
     if l1 < 1 or l2 < 1:
         raise ValueError("requires l1, l2 >= 1")
-    return SignedSqrtRational.sqrt(
-        (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)
-    )
+    return SignedSqrtRational.sqrt(_l123_squared(l1, l2, l3))
 
 
 def _g_selection_zero(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> bool:
@@ -102,14 +108,12 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> StructureVal
     if l1 < 0 or l2 < 0 or l3 < 0:
         raise ValueError("negative degree")
     if l1 < 1 or l2 < 1 or _g_selection_zero(l1, m1, l2, m2, l3, m3):
-        return StructureValue(SignedSqrtRational.zero())
-    value = (
-        l123(l1, l2, l3)
-        * threej_lm(l1, l2, l3, m1, m2, m3)
-        * threej_lm(l1, l2, l3, 1, -1, 0)
-    )
-    # Fold -1/sqrt(4) in; the remaining 1/sqrt(pi) lives in pi_exp.
-    return StructureValue(value.scale(Fraction(-1, 2)))
+        return _ZERO
+    a = threej_lm(l1, l2, l3, m1, m2, m3)
+    b = threej_lm(l1, l2, l3, 1, -1, 0)
+    # -1/sqrt(4) * L123 * a * b as one radicand; the remaining 1/sqrt(pi) is pi_exp.
+    return StructureValue(SignedSqrtRational._reduce(
+        -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den))
 
 
 @dataclass(frozen=True)

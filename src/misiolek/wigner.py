@@ -1,9 +1,9 @@
 """Exact Wigner 3j symbols for integer angular momenta.
 
-The general path evaluates the Racah alternating sum entirely in rational
-arithmetic and only then splits off the square root, so cancellations are
-exact.  Two closed forms and one recursion are kept as separate operations:
-they are cross-validation targets, not fast paths.
+The general path evaluates the Racah alternating sum in integer arithmetic
+over one common denominator and only then splits off the square root, so
+cancellations are exact.  Two closed forms and one recursion are kept as
+separate operations: they are cross-validation targets, not fast paths.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import perm
 from typing import Optional
 
 from .exact import SignedSqrtRational, factorial
@@ -22,6 +23,9 @@ class ClosedFormDomainError(ValueError):
     Callers should fall back to the general Racah path; the symbol itself is
     typically nonzero there, so returning zero would be wrong.
     """
+
+
+_ZERO = SignedSqrtRational.zero()
 
 
 def _parity(n: int) -> int:
@@ -61,48 +65,56 @@ class ThreeJArgs:
 
 @lru_cache(maxsize=None)
 def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
-    """Racah single-sum evaluation; assumes selection rules already hold."""
-    delta = Fraction(
-        factorial(l1 + l2 - l3) * factorial(l1 - l2 + l3) * factorial(-l1 + l2 + l3),
-        factorial(l1 + l2 + l3 + 1),
+    """Racah single-sum evaluation; assumes selection rules already hold.
+
+    The term of index t is (-1)^t / D(t), with D(t) the product of the
+    factorials of t, a+t, b+t, c-t, d-t and e-t.  The sum runs over one common
+    denominator, the product of those six factorials at their extreme t, so
+    every term is an integer and each one follows from the last by a small
+    exact ratio.  The squared symbol is reduced with one final gcd.
+    """
+    a, b = l3 - l2 + m1, l3 - l1 - m2
+    c, d, e = l1 + l2 - l3, l1 - m1, l2 + m2
+    t_min = max(0, -a, -b)
+    t_max = min(c, d, e)
+    common = (
+        factorial(t_max) * factorial(a + t_max) * factorial(b + t_max)
+        * factorial(c - t_min) * factorial(d - t_min) * factorial(e - t_min)
     )
-    prod = (
-        factorial(l1 + m1) * factorial(l1 - m1)
+    span = t_max - t_min
+    term = perm(t_max, span) * perm(a + t_max, span) * perm(b + t_max, span)
+    total = 0
+    for t in range(t_min, t_max + 1):
+        total += -term if t % 2 else term
+        term = term * ((c - t) * (d - t) * (e - t)) // ((t + 1) * (a + t + 1) * (b + t + 1))
+    if total == 0:
+        return _ZERO
+    sign = _parity(l1 - l2 - m3) * (1 if total > 0 else -1)
+    num = (
+        total * total
+        * factorial(c) * factorial(l1 - l2 + l3) * factorial(-l1 + l2 + l3)
+        * factorial(l1 + m1) * factorial(d)
         * factorial(l2 + m2) * factorial(l2 - m2)
         * factorial(l3 + m3) * factorial(l3 - m3)
     )
-    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
-    total = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        denom = (
-            factorial(t)
-            * factorial(l3 - l2 + t + m1)
-            * factorial(l3 - l1 + t - m2)
-            * factorial(l1 + l2 - l3 - t)
-            * factorial(l1 - t - m1)
-            * factorial(l2 - t + m2)
-        )
-        total += Fraction(_parity(t), denom)
-    if total == 0:
-        return SignedSqrtRational.zero()
-    sign = _parity(l1 - l2 - m3) * (1 if total > 0 else -1)
-    return SignedSqrtRational.of(sign, total * total * delta * prod)
+    return SignedSqrtRational._reduce(sign, num, common * common * factorial(l1 + l2 + l3 + 1))
 
 
 def threej(args: ThreeJArgs) -> SignedSqrtRational:
     """Exact 3j symbol; zero whenever a selection rule fails."""
     if args.m1 + args.m2 + args.m3 != 0 or not args.triangle_ok():
-        return SignedSqrtRational.zero()
+        return _ZERO
     return _racah(args.l1, args.l2, args.l3, args.m1, args.m2, args.m3)
 
 
 def threej_lm(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
     """threej on bare integers; out-of-range orders also yield zero."""
-    args = ThreeJArgs.checked(l1, l2, l3, m1, m2, m3)
-    if args is None:
-        return SignedSqrtRational.zero()
-    return threej(args)
+    if l1 < 0 or l2 < 0 or l3 < 0:
+        raise ValueError("negative degree")
+    if (m1 + m2 + m3 or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3
+            or not abs(l1 - l2) <= l3 <= l1 + l2):
+        return _ZERO
+    return _racah(l1, l2, l3, m1, m2, m3)
 
 
 def threej_closed_stretched(l1: int, m: int, l3: int, m1: int) -> SignedSqrtRational:

@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate: factorials, signed square roots, floats."""
 
 import math
+import pickle
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float, ssr_mul, ssr_to_float
+from misiolek.wigner import threej_lm
 
 SSR = SignedSqrtRational
 
@@ -76,6 +78,20 @@ def test_ssr_ordering():
     assert SSR.of(-1, 9) < SSR.of(-1, 1)
 
 
+def test_ssr_is_immutable():
+    # lru_cache hands the same value object to every caller of threej_lm.
+    cached = threej_lm(3, 2, 1, 1, -1, 0)
+    assert cached is threej_lm(3, 2, 1, 1, -1, 0)
+    before = (cached.sign, cached.num, cached.den)
+    for name in ("sign", "num", "den", "radicand", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(cached, name, 1)
+    with pytest.raises(AttributeError):
+        del cached.num
+    assert (cached.sign, cached.num, cached.den) == before
+    assert pickle.loads(pickle.dumps(cached)) == cached
+
+
 def test_sqrt_to_float_huge_operands():
     # numerator and denominator both overflow doubles; the quotient does not
     big = Fraction(factorial(200), factorial(198)) ** 10  # (200*199)**10
@@ -118,6 +134,7 @@ def test_ssr_product_contract(s1, r1, s2, r2):
     assert prod.sign == a.sign * b.sign
     if prod.sign != 0:
         assert prod.radicand == a.radicand * b.radicand
+    assert prod.den > 0 and math.gcd(prod.num, prod.den) == 1
 
 
 def test_sqrt_to_float_matches_decimal_oracle():

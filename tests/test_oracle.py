@@ -52,6 +52,23 @@ def test_ylm_constant_mode():
     assert ylm_eval(HarmonicIndex(0, 0), 0.3, 0.7) == pytest.approx(math.sqrt(1 / (4 * math.pi)))
 
 
+def test_high_orders_fail_loudly():
+    # (l-m)!/(l+m)! is a normal double up to l = m = 85 and subnormal from 86 on;
+    # at 150 it used to underflow to 0.0 and the harmonic silently read 0.
+    assert math.isfinite(abs(ylm_eval(HarmonicIndex(85, 85), 0.0, 0.0)))
+    assert ylm_eval(HarmonicIndex(85, 85), 0.0, 0.0) != 0
+    for l in (86, 150):
+        with pytest.raises(OverflowError):
+            ylm_eval(HarmonicIndex(l, l), 0.0, 0.0)
+    # (2m-1)!! overflows from m = 151 at the equator; it used to give inf, then nan.
+    assert np.all(np.isfinite(legendre_p(150, 150, np.array([0.0, 0.5]))))
+    for m in (151, 155):
+        with pytest.raises(OverflowError):
+            legendre_p(m, m, np.array([0.0, 0.5]))
+    with pytest.raises(OverflowError):
+        legendre_p_deriv(160, 155, 0.5)
+
+
 def test_ylm_normalization_on_grid(grid):
     for l in range(7):
         for m in range(-l, l + 1):
