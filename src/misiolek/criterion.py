@@ -122,7 +122,8 @@ class MCReport:
 
     @property
     def flat_over_pi(self) -> Fraction:
-        return _sum_over_pi(self.summands)
+        # Coriolis slopes carry no over_pi part, so value.over_pi is the summand sum.
+        return self.value.over_pi
 
     @property
     def value_float(self) -> float:
@@ -142,7 +143,8 @@ def _sum_over_pi(summands: Sequence[MCSummand]) -> Fraction:
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
     m3 = -(a.m + b.m)
     out = []
-    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l):
+    # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
+    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
         g = g_real(a.l, a.m, b.l, b.m, l3, m3)
         if not g.is_zero():
             out.append(MCSummand(l3, g.squared_over_pi(), _turn(a.l) - _turn(l3)))

@@ -41,22 +41,26 @@ def sqrt_to_float(value: Fraction) -> float:
     """
     if value < 0:
         raise ValueError("square root of negative rational")
-    p, q = value.numerator, value.denominator
+    return _sqrt_ratio_to_float(value.numerator, value.denominator)
+
+
+def _sqrt_ratio_to_float(p: int, q: int) -> float:
+    """sqrt_to_float for p/q in lowest terms with p >= 0 and q > 0."""
     if p == 0:
         return 0.0
     # sqrt(p/q) = sqrt(p*q)/q.  Shift so isqrt carries ~120 significant bits,
-    # keeping the shift even so it can be undone exactly via ldexp.
+    # keeping the shift even so that its half divides out of the root exactly.
     n = p * q
     shift = max(0, 240 - n.bit_length())
     shift += shift % 2
     root = math.isqrt(n << shift)
     half = shift // 2
-    # root / (q * 2**half), both exact integers; Fraction redoes the gcd but
-    # guarantees a correctly rounded quotient even for huge operands.
+    # root / (q * 2**half), both exact integers; int / int is correctly
+    # rounded even for huge operands, so no gcd is needed.
     try:
-        return float(Fraction(root, q << half))
+        return root / (q << half)
     except OverflowError:
-        raise OverflowError(f"sqrt({value}) exceeds double range") from None
+        raise OverflowError(f"sqrt({Fraction(p, q)}) exceeds double range") from None
 
 
 @total_ordering
@@ -167,7 +171,7 @@ class SignedSqrtRational:
         return self.sign == 0
 
     def to_float(self) -> float:
-        return self.sign * sqrt_to_float(self.radicand)
+        return self.sign * _sqrt_ratio_to_float(self.num, self.den)
 
     def __lt__(self, other: "SignedSqrtRational") -> bool:
         if self.sign != other.sign:

@@ -36,15 +36,17 @@ def legendre_p(l: int, m: int, mu: ArrayLike) -> ArrayLike:
     if not 0 <= m <= l:
         raise ValueError("requires 0 <= m <= l")
     mu = np.asarray(mu, dtype=float)
-    s = np.sqrt(1.0 - mu * mu)
-    # P^m_m = (2m-1)!! * s^m
-    p = np.ones_like(mu)
-    for k in range(1, m + 1):
-        p = p * (2 * k - 1) * s
-    if l > m:
-        p_prev, p = p, mu * (2 * m + 1) * p
-        for deg in range(m + 2, l + 1):
-            p_prev, p = p, (mu * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
+    # Overflow is reported once, by the isfinite check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(1.0 - mu * mu)
+        # P^m_m = (2m-1)!! * s^m
+        p = np.ones_like(mu)
+        for k in range(1, m + 1):
+            p = p * (2 * k - 1) * s
+        if l > m:
+            p_prev, p = p, mu * (2 * m + 1) * p
+            for deg in range(m + 2, l + 1):
+                p_prev, p = p, (mu * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
     if not np.all(np.isfinite(p)):
         raise OverflowError(f"P^{m}_{l} exceeds double range")
     return p
@@ -82,12 +84,16 @@ def ylm_eval(idx: HarmonicIndex, lam: ArrayLike, mu: ArrayLike) -> complex:
 
 @dataclass
 class GridFunction:
-    """Complex samples on a grid with analytic derivative fields alongside."""
+    """Complex samples on a grid with analytic derivative fields alongside.
+
+    Grid harmonics also carry ``dual``, the conjugated samples times the
+    quadrature weights, so that pairing against them is one dot product.
+    """
 
     values: np.ndarray
     d_lam: Optional[np.ndarray] = None
     d_mu: Optional[np.ndarray] = None
-    band_limit: int = 0
+    dual: Optional[np.ndarray] = None
 
     def has_derivatives(self) -> bool:
         return self.d_lam is not None and self.d_mu is not None
@@ -119,20 +125,16 @@ class QuadratureGrid:
         lam = 2.0 * math.pi * np.arange(n_lam) / n_lam
         return cls(l_max, mu, w, lam, 2.0 * math.pi / n_lam)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integral over the sphere, dA = d(lambda) d(mu); values[i_mu, i_lam]."""
-        return complex(self.mu_weights @ values.sum(axis=1)) * self.lam_weight
-
     def pair_plain(self, f: GridFunction, g: GridFunction) -> complex:
-        """Unconjugated pairing <f, g> = integral of f*g."""
-        return self.integrate(f.values * g.values)
+        """Unconjugated pairing <f, g> = integral of f*g; g must be a grid harmonic."""
+        return complex(np.vdot(_dual(g), f.values))
 
     def pair_conjugated(self, f: GridFunction, g: GridFunction) -> complex:
-        """Hermitian pairing integral of f * conj(g)."""
-        return self.integrate(f.values * np.conj(g.values))
+        """Hermitian pairing integral of f * conj(g); g must be a grid harmonic."""
+        return complex(np.dot(f.values.ravel(), _dual(g).ravel()))
 
     def harmonic(self, idx: HarmonicIndex) -> GridFunction:
-        """Y_{lm} sampled with its analytic lambda- and mu-derivatives."""
+        """Y_{lm} sampled with its analytic lambda- and mu-derivatives and its dual."""
         if idx.l > self.l_max:
             raise ValueError(f"degree {idx.l} exceeds grid resolution l_max={self.l_max}")
         key = (idx.l, idx.m)
@@ -149,7 +151,7 @@ class QuadratureGrid:
             values=values,
             d_lam=1j * idx.m * values,
             d_mu=dp[:, None] * phase[None, :],
-            band_limit=idx.l,
+            dual=np.conj(values) * (self.mu_weights * self.lam_weight)[:, None],
         )
         self._harmonics[key] = fn
         return fn
@@ -161,18 +163,21 @@ class QuadratureGrid:
             values=self.mu[:, None] * np.ones(len(self.lam))[None, :] + 0j,
             d_lam=np.zeros_like(ones, dtype=complex),
             d_mu=ones.astype(complex),
-            band_limit=1,
         )
+
+
+def _dual(g: GridFunction) -> np.ndarray:
+    """The quadrature dual of g: conj(g) * dA at each node, dA = d(lambda) d(mu)."""
+    if g.dual is None:
+        raise ValueError("the second argument of a pairing must be a grid harmonic")
+    return g.dual
 
 
 def poisson_bracket(f: GridFunction, g: GridFunction) -> GridFunction:
     """{f, g} = f_lam g_mu - f_mu g_lam, pointwise from analytic derivatives."""
     if not (f.has_derivatives() and g.has_derivatives()):
         raise ValueError("both inputs must carry derivative fields")
-    return GridFunction(
-        values=f.d_lam * g.d_mu - f.d_mu * g.d_lam,
-        band_limit=f.band_limit + g.band_limit,
-    )
+    return GridFunction(values=f.d_lam * g.d_mu - f.d_mu * g.d_lam)
 
 
 def oracle_structure_coeff(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int,

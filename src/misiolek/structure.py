@@ -174,7 +174,8 @@ def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
     m3 = a.m + b.m
     phase_imag = -_parity(m3)  # imaginary part of -i*(-1)^(m1+m2)
     terms = []
-    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l):
+    # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
+    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
         g = g_real(a.l, a.m, b.l, b.m, l3, -m3)
         if not g.is_zero():
             terms.append(BracketTerm(l3, m3, g, phase_imag))

@@ -82,7 +82,7 @@ def test_mc_flat_requires_positive_degrees():
 
 def test_mc_report_decomposition_consistency():
     report = mc_flat(H(4, 3), H(3, -2))
-    assert report.value.over_pi == report.flat_over_pi
+    assert report.value.over_pi == report.flat_over_pi == sum(s.contribution_over_pi for s in report.summands)
     for s in report.summands:
         assert abs(4 - 3) + 1 <= s.l3 <= 4 + 3 - 1
         assert s.weight == 4 * 5 - s.l3 * (s.l3 + 1)

@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float, ssr_mul, ssr_to_float
 from misiolek.wigner import threej_lm
@@ -101,6 +101,38 @@ def test_sqrt_to_float_huge_operands():
 def test_sqrt_to_float_overflow_is_flagged():
     with pytest.raises(OverflowError):
         sqrt_to_float(Fraction(10) ** 700)
+
+
+def fraction_sqrt_to_float(value):
+    """Reference: the same 120-bit isqrt, rounded through a reduced Fraction."""
+    p, q = value.numerator, value.denominator
+    if p == 0:
+        return 0.0
+    n = p * q
+    shift = max(0, 240 - n.bit_length())
+    shift += shift % 2
+    root = math.isqrt(n << shift)
+    half = shift // 2
+    return float(Fraction(root, q << half))
+
+
+@given(st.integers(min_value=0, max_value=2**2200), st.integers(min_value=1, max_value=2**2200))
+@example(10**700, 1)
+@example(1, 2**2200)
+@example(2**2047, 1)
+def test_sqrt_to_float_bits_match_fraction_reference(p, q):
+    value = Fraction(p, q)
+    try:
+        want = fraction_sqrt_to_float(value)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            sqrt_to_float(value)
+        with pytest.raises(OverflowError):
+            SSR.of(1, value).to_float()
+        return
+    assert sqrt_to_float(value).hex() == want.hex()
+    assert SSR.of(1, value).to_float().hex() == want.hex()
+    assert SSR.of(-1, value).to_float().hex() == (-want if p else 0.0).hex()
 
 
 def _ulps_apart(a, b):

@@ -22,6 +22,11 @@ def grid():
     return QuadratureGrid.for_degree(6)
 
 
+def integrate_reference(grid, values):
+    """The 2-D quadrature on values[..., i_mu, i_lam]: lambda sums, then mu weights."""
+    return (values.sum(axis=-1) @ grid.mu_weights) * grid.lam_weight
+
+
 def test_legendre_examples():
     mus = np.linspace(-0.9, 0.9, 7)
     assert np.allclose(legendre_p(0, 0, mus), 1.0)
@@ -105,6 +110,36 @@ def test_orthonormality_matrix(grid):
         for j, b in enumerate(indices):
             mat[i, j] = grid.pair_conjugated(grid.harmonic(a), grid.harmonic(b))
     assert np.abs(mat - np.eye(n)).max() < 1e-12
+
+
+def test_dual_pairings_match_2d_quadrature(grid):
+    harmonics = [grid.harmonic(HarmonicIndex(l, m)) for l in range(7) for m in range(-l, l + 1)]
+    conj_stack = np.conj(np.stack([y.values for y in harmonics]))
+    worst = 0.0
+    for f in harmonics:
+        for y in harmonics:
+            worst = max(worst,
+                        abs(grid.pair_conjugated(f, y) - integrate_reference(grid, f.values * np.conj(y.values))),
+                        abs(grid.pair_plain(f, y) - integrate_reference(grid, f.values * y.values)))
+    assert worst < 1e-14
+    worst = 0.0
+    for f in harmonics:
+        for g in harmonics:
+            bracket = poisson_bracket(f, g)
+            want = integrate_reference(grid, bracket.values * conj_stack)
+            got = [grid.pair_conjugated(bracket, y) for y in harmonics]
+            worst = max(worst, np.abs(np.array(got) - want).max())
+    assert worst < 1e-14
+
+
+def test_pairings_require_a_grid_harmonic_second(grid):
+    y = grid.harmonic(HarmonicIndex(2, 1))
+    bracket = poisson_bracket(y, grid.harmonic(HarmonicIndex(3, -1)))
+    for second in (bracket, grid.mu_field()):
+        with pytest.raises(ValueError):
+            grid.pair_conjugated(y, second)
+        with pytest.raises(ValueError):
+            grid.pair_plain(y, second)
 
 
 def test_bracket_requires_derivatives(grid):

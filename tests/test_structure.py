@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
     HarmonicIndex,
@@ -107,6 +108,17 @@ def test_bracket_band_and_parity():
     assert expansion.output_order == 0
     for term in expansion:
         assert (2 + 3 + term.l3) % 2 == 1
+
+
+def test_bracket_degrees_are_the_nonzero_band():
+    # bracket_expand and mc_flat step l3 by parity; the skipped l3 must all vanish
+    indices = [HarmonicIndex(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
+    for a in indices:
+        for b in indices:
+            band = range(abs(a.l - b.l) + 1, a.l + b.l)
+            nonzero = [l3 for l3 in band if not g_real(a.l, a.m, b.l, b.m, l3, -(a.m + b.m)).is_zero()]
+            assert bracket_expand(a, b).degrees() == nonzero, (a, b)
+            assert [s.l3 for s in mc_flat(a, b).summands] == nonzero, (a, b)
 
 
 def test_bracket_antisymmetry():
