@@ -4,14 +4,23 @@
 Scans MC(e_{l1 m1}, e_{m -m}) for 1 < m1 <= l1 and 2 <= m <= m1 plus the
 order-one family MC(e_{l1 1}, e_{l2 1}), checks the monotone proof chains,
 and reports how the conjectured extension 2 <= m <= 2 m1 - 2 fares.
+After the summary, one line on stderr gives the number of cached Racah sums
+and the peak resident set size of the run.
 """
 
 import argparse
+import resource
 import sys
 import time
 
 from misiolek.criterion import mc_flat, theorem_scan
 from misiolek.structure import HarmonicIndex
+from misiolek.wigner import _racah
+
+
+def _resources() -> str:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    return f"racah cache entries: {_racah.cache_info().currsize}, peak RSS: {peak_kib / 1024:.1f} MB"
 
 
 def main() -> int:
@@ -30,6 +39,7 @@ def main() -> int:
     if scan.failures:
         for failure in scan.failures:
             print(f"FALSIFIED: {failure}")
+        print(_resources(), file=sys.stderr)
         return 1
     print("all asserted positivity and nonpositivity statements hold exactly")
     print(f"extended range 2 <= m <= 2 m1 - 2: {scan.extended_checked} extra pairs checked, "
@@ -46,6 +56,7 @@ def main() -> int:
               f"= {report.value_float:.6g}")
         for s in report.summands:
             print(f"  l3={s.l3}: g^2 = {s.g_squared_over_pi}/pi, weight {s.weight}")
+    print(_resources(), file=sys.stderr)
     return 0
 
 

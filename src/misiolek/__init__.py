@@ -6,7 +6,7 @@ ratio and Rossby-Haurwitz wave forms, and a quadrature oracle that
 re-derives every structure constant from pointwise Poisson brackets.
 """
 
-from .exact import BigRational, SignedSqrtRational, factorial, ssr_mul, ssr_to_float
+from .exact import SignedSqrtRational, factorial
 from .structure import BracketExpansion, HarmonicIndex, StructureValue, bracket_expand, g_real, l123
 from .wigner import (
     ClosedFormDomainError,
@@ -39,7 +39,6 @@ from .criterion import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "BracketExpansion",
     "ClosedFormDomainError",
     "CriticalRatio",
@@ -65,8 +64,6 @@ __all__ = [
     "mc_symmetry_negate",
     "rhw_mc",
     "rhw_threshold",
-    "ssr_mul",
-    "ssr_to_float",
     "theorem_scan",
     "threej",
     "threej_closed_110",

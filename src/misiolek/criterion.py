@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import SignedSqrtRational
 from .structure import HarmonicIndex, g_real
@@ -92,17 +92,64 @@ class MCValue:
         return total
 
 
-@dataclass(frozen=True)
 class MCSummand:
-    """Contribution of one output degree l3: g^2 * (l1(l1+1) - l3(l3+1))."""
+    """Contribution of one output degree l3: g^2 * (l1(l1+1) - l3(l3+1)).
 
-    l3: int
-    g_squared_over_pi: Fraction
-    weight: int
+    ``num/den`` is g^2 * pi as plain integers in lowest terms with ``den > 0``;
+    the constructor trusts the caller for that, as ``g_real`` already returns
+    its radicand reduced.  Summands are immutable, like the reports that
+    hold them.
+    """
+
+    __slots__ = ("l3", "num", "den", "weight")
+
+    def __init__(self, l3: int, num: int, den: int, weight: int) -> None:
+        _set_l3(self, l3)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_weight(self, weight)
+
+    @classmethod
+    def reduced(cls, l3: int, num: int, den: int, weight: int) -> "MCSummand":
+        """Summand from any ``num >= 0``, ``den > 0``, reduced with one gcd."""
+        g = math.gcd(num, den)
+        return cls(l3, num // g, den // g, weight)
+
+    @property
+    def g_squared_over_pi(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def contribution_over_pi(self) -> Fraction:
-        return self.g_squared_over_pi * self.weight
+        return Fraction(self.num * self.weight, self.den)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.l3, self.num, self.den, self.weight))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MCSummand):
+            return NotImplemented
+        return (self.l3, self.num, self.den, self.weight) == (other.l3, other.num, other.den, other.weight)
+
+    def __hash__(self) -> int:
+        return hash((self.l3, self.num, self.den, self.weight))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(l3={self.l3}, g_squared_over_pi={self.g_squared_over_pi!r}, "
+                f"weight={self.weight})")
+
+
+# Slot writers that bypass the refusing __setattr__; only __init__ uses them.
+_set_l3 = MCSummand.l3.__set__
+_set_num = MCSummand.num.__set__
+_set_den = MCSummand.den.__set__
+_set_weight = MCSummand.weight.__set__
 
 
 @dataclass(frozen=True)
@@ -134,29 +181,37 @@ def _sum_over_pi(summands: Sequence[MCSummand]) -> Fraction:
     """Sum of the summand contributions, over one common denominator."""
     num, den = 0, 1
     for s in summands:
-        g_sq = s.g_squared_over_pi
-        num = num * g_sq.denominator + g_sq.numerator * s.weight * den
-        den *= g_sq.denominator
+        num = num * s.den + s.num * s.weight * den
+        den *= s.den
     return Fraction(num, den)
 
 
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
     m3 = -(a.m + b.m)
+    turn = _turn(a.l)
     out = []
     # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
     for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
-        g = g_real(a.l, a.m, b.l, b.m, l3, m3)
-        if not g.is_zero():
-            out.append(MCSummand(l3, g.squared_over_pi(), _turn(a.l) - _turn(l3)))
+        root = g_real(a.l, a.m, b.l, b.m, l3, m3).root
+        if root.sign:
+            out.append(MCSummand(l3, root.num, root.den, turn - _turn(l3)))
     return tuple(out)
 
 
+_ZERO_VALUE = MCValue()
+
+
 def _report(summands: Tuple[MCSummand, ...], delta: Fraction = Fraction(0),
-            slope: MCValue = MCValue.zero(), rotation: Fraction = Fraction(0),
+            slope: MCValue = _ZERO_VALUE, rotation: Fraction = Fraction(0),
             extra_const: Fraction = Fraction(0)) -> MCReport:
-    over_pi = _sum_over_pi(summands)
-    coriolis = slope.scale(rotation)
-    value = MCValue(delta + extra_const, over_pi) + coriolis
+    const = delta + extra_const if extra_const else delta
+    value = MCValue(const, _sum_over_pi(summands))
+    # Without a rotation or a slope the Coriolis term is zero: skip its arithmetic.
+    if rotation and not slope.is_zero():
+        coriolis = slope.scale(rotation)
+        value = value + coriolis
+    else:
+        coriolis = _ZERO_VALUE
     return MCReport(summands, value, delta, slope, coriolis, rotation)
 
 
@@ -197,13 +252,13 @@ def mc_combination(a: HarmonicIndex, base: HarmonicIndex,
         weight_sq = _abs_squared(x)
         if weight_sq == 0:
             continue
+        p, q = weight_sq.numerator, weight_sq.denominator
         for s in _flat_summands(a, idx):
             prev = merged.get(s.l3)
-            extra = s.g_squared_over_pi * weight_sq
-            if prev is None:
-                merged[s.l3] = MCSummand(s.l3, extra, s.weight)
-            else:
-                merged[s.l3] = MCSummand(s.l3, prev.g_squared_over_pi + extra, s.weight)
+            num, den = s.num * p, s.den * q
+            if prev is not None:
+                num, den = prev.num * den + num * prev.den, prev.den * den
+            merged[s.l3] = MCSummand.reduced(s.l3, num, den, s.weight)
     summands = tuple(sorted(merged.values(), key=lambda s: s.l3))
     return _report(summands)
 
@@ -273,12 +328,16 @@ class CriticalRatioTable:
     l1: int
     l2_max: int
     cells: Tuple[CriticalRatio, ...]
+    _by_position: Dict[Tuple[int, int], CriticalRatio] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_position", {(c.l2, c.m2): c for c in self.cells})
 
     def cell(self, l2: int, m2: int) -> CriticalRatio:
-        for c in self.cells:
-            if (c.l2, c.m2) == (l2, m2):
-                return c
-        raise KeyError(f"no cell ({l2}, {m2})")
+        c = self._by_position.get((l2, m2))
+        if c is None:
+            raise KeyError(f"no cell ({l2}, {m2})")
+        return c
 
     def defined_cells(self) -> List[CriticalRatio]:
         return [c for c in self.cells if c.defined]
@@ -350,8 +409,9 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
     delta = -amp_sq * wave.index.m ** 2 if probe == wave.index else Fraction(0)
     wave_const = zonal ** 2 * m2 ** 2 * (2 - _turn(probe.l))
     slope = MCValue(rational=-Fraction(m2 ** 2) * zonal)
+    p, q = amp_sq.numerator, amp_sq.denominator
     summands = tuple(
-        MCSummand(s.l3, s.g_squared_over_pi * amp_sq, s.weight)
+        MCSummand.reduced(s.l3, s.num * p, s.den * q, s.weight)
         for s in _flat_summands(wave.index, probe)
     )
     return _report(summands, delta=delta, slope=slope, rotation=rotation,

@@ -17,10 +17,6 @@ from typing import Union
 #: Rational scalars accepted by the constructors below.
 RationalLike = Union[int, Fraction]
 
-# Arbitrary-precision rationals, always in lowest terms with positive
-# denominator.  fractions.Fraction already guarantees both invariants.
-BigRational = Fraction
-
 
 @lru_cache(maxsize=None)
 def factorial(n: int) -> int:
@@ -193,12 +189,3 @@ _set_sign = SignedSqrtRational.sign.__set__
 _set_num = SignedSqrtRational.num.__set__
 _set_den = SignedSqrtRational.den.__set__
 
-
-def ssr_mul(a: SignedSqrtRational, b: SignedSqrtRational) -> SignedSqrtRational:
-    """Exact product of two signed square roots."""
-    return a * b
-
-
-def ssr_to_float(a: SignedSqrtRational) -> float:
-    """Nearest double to a signed square root (<= 2 ulp off)."""
-    return a.to_float()

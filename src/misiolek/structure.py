@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Iterator, List, Tuple
+from typing import ClassVar, Dict, Iterator, List, Tuple
 
 from .exact import RationalLike, SignedSqrtRational
 from .wigner import _parity, threej_lm
@@ -140,25 +140,27 @@ class BracketExpansion:
     input1: HarmonicIndex
     input2: HarmonicIndex
     terms: Tuple[BracketTerm, ...] = field(default_factory=tuple)
+    _by_degree: Dict[int, BracketTerm] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_by_degree", {t.l3: t for t in self.terms})
 
     @property
     def output_order(self) -> int:
         return self.input1.m + self.input2.m
 
     def term(self, l3: int) -> BracketTerm:
-        for t in self.terms:
-            if t.l3 == l3:
-                return t
-        raise KeyError(f"no term at degree {l3}")
+        t = self._by_degree.get(l3)
+        if t is None:
+            raise KeyError(f"no term at degree {l3}")
+        return t
 
     def degrees(self) -> List[int]:
         return [t.l3 for t in self.terms]
 
     def coefficient(self, l3: int) -> complex:
-        for t in self.terms:
-            if t.l3 == l3:
-                return t.coefficient()
-        return 0j
+        t = self._by_degree.get(l3)
+        return 0j if t is None else t.coefficient()
 
     def __iter__(self) -> Iterator[BracketTerm]:
         return iter(self.terms)

@@ -159,12 +159,13 @@ def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
     res = SuiteResult("oracle", l_max)
     grid = QuadratureGrid.for_degree(l_max)
     indices = [HarmonicIndex(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
+    harmonics = [grid.harmonic(idx) for idx in indices]
     worst = 0.0
-    for a in indices:
-        for b in indices:
-            plain = grid.pair_plain(grid.harmonic(a), grid.harmonic(b))
+    for a, ya in zip(indices, harmonics):
+        for b, yb in zip(indices, harmonics):
+            plain = grid.pair_plain(ya, yb)
             want_plain = (-1.0) ** a.m if (a.l == b.l and a.m == -b.m) else 0.0
-            conj = grid.pair_conjugated(grid.harmonic(a), grid.harmonic(b))
+            conj = grid.pair_conjugated(ya, yb)
             want_conj = 1.0 if a == b else 0.0
             res.checks += 2
             dev = max(abs(plain - want_plain), abs(conj - want_conj))

@@ -220,6 +220,7 @@ def test_critical_table_shape_and_signs():
     for cell in defined:
         assert (cell.direction == ">") == (cell.value >= 0)
     assert table.cell(2, 3).status == "not-applicable"
+    assert all(table.cell(c.l2, c.m2) is c for c in table.cells)
     with pytest.raises(KeyError):
         table.cell(6, 1)
 

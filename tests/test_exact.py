@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float, ssr_mul, ssr_to_float
+from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float
 from misiolek.wigner import threej_lm
 
 SSR = SignedSqrtRational
@@ -42,16 +42,16 @@ def test_factorial_rejects_negative():
 
 
 def test_ssr_mul_examples():
-    assert ssr_mul(SSR.of(1, Fraction(1, 2)), SSR.of(1, 2)) == SSR.of(1, 1)
-    assert ssr_mul(SSR.of(-1, 3), SSR.of(1, 3)) == SSR.of(-1, 9)
-    assert ssr_mul(SSR.zero(), SSR.of(1, 7)) == SSR.zero()
+    assert SSR.of(1, Fraction(1, 2)) * SSR.of(1, 2) == SSR.of(1, 1)
+    assert SSR.of(-1, 3) * SSR.of(1, 3) == SSR.of(-1, 9)
+    assert SSR.zero() * SSR.of(1, 7) == SSR.zero()
 
 
 def test_ssr_to_float_examples():
-    assert ssr_to_float(SSR.of(1, 4)) == 2.0
+    assert SSR.of(1, 4).to_float() == 2.0
     # high-precision evaluation oracle: -Decimal(5).sqrt() rounded to double
-    assert ssr_to_float(SSR.of(-1, 5)) == -2.23606797749979
-    assert ssr_to_float(SSR.zero()) == 0.0
+    assert SSR.of(-1, 5).to_float() == -2.23606797749979
+    assert SSR.zero().to_float() == 0.0
 
 
 def test_ssr_zero_normalization():
@@ -144,7 +144,7 @@ def _ulps_apart(a, b):
 @given(st.sampled_from([-1, 1]), rationals)
 def test_mul_square_float_consistency(sign, radicand):
     a = SSR.of(sign, abs(radicand))
-    left = ssr_to_float(ssr_mul(a, a))
+    left = (a * a).to_float()
     right = float(a.square())
     assert _ulps_apart(left, right) <= 4
 
@@ -162,7 +162,7 @@ def test_rational_field_properties(a, b, c):
 def test_ssr_product_contract(s1, r1, s2, r2):
     a = SSR.of(s1, abs(r1))
     b = SSR.of(s2, abs(r2))
-    prod = ssr_mul(a, b)
+    prod = a * b
     assert prod.sign == a.sign * b.sign
     if prod.sign != 0:
         assert prod.radicand == a.radicand * b.radicand

@@ -93,6 +93,23 @@ def test_bracket_with_rotation_generator():
         assert coeff.imag == pytest.approx(-m2 * math.sqrt(3 / (4 * math.pi)), rel=1e-14)
 
 
+def test_bracket_lookup_by_degree():
+    # term/coefficient against a scan of the terms: KeyError and 0j off the expansion.
+    indices = [HarmonicIndex(l, m) for l in range(6) for m in range(-l, l + 1)]
+    for a in indices:
+        for b in indices:
+            expansion = bracket_expand(a, b)
+            for l3 in range(a.l + b.l + 2):
+                found = [t for t in expansion.terms if t.l3 == l3]
+                if found:
+                    assert expansion.term(l3) is found[0]
+                    assert expansion.coefficient(l3) == found[0].coefficient()
+                else:
+                    with pytest.raises(KeyError):
+                        expansion.term(l3)
+                    assert expansion.coefficient(l3) == 0j
+
+
 def test_bracket_of_identical_fields_is_empty():
     for l, m in ((1, 0), (3, 2), (4, -4)):
         assert bracket_expand(HarmonicIndex(l, m), HarmonicIndex(l, m)).terms == ()
