@@ -7,12 +7,10 @@ re-derives every structure constant from pointwise Poisson brackets.
 """
 
 from .exact import SignedSqrtRational, factorial
-from .structure import BracketExpansion, HarmonicIndex, StructureValue, bracket_expand, g_real, l123
+from .structure import BracketExpansion, HarmonicIndex, bracket_expand, g_real, l123
 from .wigner import (
     ClosedFormDomainError,
-    ThreeJArgs,
     clebsch_gordan,
-    threej,
     threej_closed_110,
     threej_closed_stretched,
     threej_lm,
@@ -48,8 +46,6 @@ __all__ = [
     "MCValue",
     "RHWave",
     "SignedSqrtRational",
-    "StructureValue",
-    "ThreeJArgs",
     "bracket_expand",
     "clebsch_gordan",
     "conjugate_time",
@@ -65,7 +61,6 @@ __all__ = [
     "rhw_mc",
     "rhw_threshold",
     "theorem_scan",
-    "threej",
     "threej_closed_110",
     "threej_closed_stretched",
     "threej_lm",

@@ -114,7 +114,7 @@ def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "l3": term.l3,
             "m3": term.m3,
             "phase": "-i" if term.phase_imag < 0 else "+i",
-            "g": _ssr_json(term.g.root, pi_exp=-0.5),
+            "g": _ssr_json(term.g, pi_exp=-0.5),
             "coefficient": [coeff.real, coeff.imag],
         }, sys.stdout)
     if not expansion.terms:

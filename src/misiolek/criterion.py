@@ -192,7 +192,7 @@ def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
     out = []
     # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
     for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
-        root = g_real(a.l, a.m, b.l, b.m, l3, m3).root
+        root = g_real(a.l, a.m, b.l, b.m, l3, m3)
         if root.sign:
             out.append(MCSummand(l3, root.num, root.den, turn - _turn(l3)))
     return tuple(out)
@@ -270,8 +270,7 @@ def coriolis_slope(a: HarmonicIndex, b: HarmonicIndex) -> MCValue:
     flows (m1 = 0) probed by a non-zonal harmonic.
     """
     g = g_real(a.l, a.m, b.l, b.m, b.l, -b.m)
-    scaled = g.scale(_parity(b.m) * b.m)
-    return MCValue(root_over_sqrt_pi=scaled.root)
+    return MCValue(root_over_sqrt_pi=g.scale(_parity(b.m) * b.m))
 
 
 def mc_coriolis(a: HarmonicIndex, b: HarmonicIndex, rotation: Numeric) -> MCReport:
@@ -448,7 +447,7 @@ def harmonic_velocity_norm(idx: HarmonicIndex) -> float:
 
 
 def _probe_g_squared(l1: int, m1: int, m: int, l3: int) -> Fraction:
-    return g_real(l1, m1, m, -m, l3, m - m1).squared_over_pi()
+    return g_real(l1, m1, m, -m, l3, m - m1).square()
 
 
 def positivity_chain(l1: int, m1: int, m: int) -> List[Fraction]:

@@ -3,18 +3,19 @@
 The Poisson bracket of two spherical harmonics expands over a short band of
 output degrees; the real constants g carry all magnitudes and the complex
 phase is the discrete unit -i*(-1)^(m1+m2), tracked as a tag instead of a
-complex float.  Every value keeps its 1/sqrt(4*pi) factor symbolically, so
-squares of constants are exact rationals over pi.
+complex float.  A constant is held as the SignedSqrtRational ``r`` of its
+value ``r / sqrt(pi)``: the 1/sqrt(pi) factor is implicit, so ``r.square()``
+is the exact coefficient of 1/pi in g**2, and it enters a float only in
+``BracketTerm.coefficient``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import ClassVar, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .exact import RationalLike, SignedSqrtRational
+from .exact import SignedSqrtRational
 from .wigner import _parity, threej_lm
 
 
@@ -39,40 +40,14 @@ class HarmonicIndex:
         return HarmonicIndex(self.l, -self.m)
 
 
-@dataclass(frozen=True, slots=True)
-class StructureValue:
-    """Exact value ``root * pi**pi_exp`` of a structure constant.
-
-    Structure constants are square roots of rationals divided by sqrt(pi),
-    so pi_exp is the constant -1/2.
-    """
-
-    root: SignedSqrtRational
-    pi_exp: ClassVar[Fraction] = Fraction(-1, 2)
-
-    def is_zero(self) -> bool:
-        return self.root.is_zero()
-
-    @property
-    def sign(self) -> int:
-        return self.root.sign
-
-    def squared_over_pi(self) -> Fraction:
-        """Exact square as the coefficient of pi**(2*pi_exp)."""
-        return self.root.square()
-
-    def scale(self, factor: RationalLike) -> "StructureValue":
-        return StructureValue(self.root.scale(factor))
-
-    def __neg__(self) -> "StructureValue":
-        return StructureValue(-self.root)
-
-    def to_float(self) -> float:
-        return self.root.to_float() * _PI_POWER
+#: The implicit factor of every structure constant, as a float.
+_PI_POWER = math.pi ** -0.5
+_ZERO = SignedSqrtRational.zero()
 
 
-_PI_POWER = math.pi ** float(StructureValue.pi_exp)
-_ZERO = StructureValue(SignedSqrtRational.zero())
+def _is_negation(x: SignedSqrtRational, y: SignedSqrtRational) -> bool:
+    """x == -y, compared on the canonical integers without building -y."""
+    return x.sign == -y.sign and x.num == y.num and x.den == y.den
 
 
 def _l123_squared(l1: int, l2: int, l3: int) -> int:
@@ -86,51 +61,45 @@ def l123(l1: int, l2: int, l3: int) -> SignedSqrtRational:
     return SignedSqrtRational.sqrt(_l123_squared(l1, l2, l3))
 
 
-def _g_selection_zero(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> bool:
-    if m1 + m2 + m3 != 0:
-        return True
-    if (l1 + l2 + l3) % 2 == 0:
-        return True
-    # Strict interior of the triangle; the boundary has even degree sum anyway.
-    if not abs(l1 - l2) + 1 <= l3 <= l1 + l2 - 1:
-        return True
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-        return True
-    return False
+def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRational:
+    """Real structure constant g^{l3 m3}_{l1 m1 l2 m2}, times sqrt(pi).
 
-
-def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> StructureValue:
-    """Real structure constant g^{l3 m3}_{l1 m1 l2 m2}.
-
-    Value is -(1/sqrt(4*pi)) * L123 * (l1 l2 l3; m1 m2 m3) * (l1 l2 l3; 1 -1 0),
-    exactly zero in every selection-rule case.
+    The value is -(1/sqrt(4*pi)) * L123 * (l1 l2 l3; m1 m2 m3) * (l1 l2 l3; 1 -1 0);
+    the returned root omits the 1/sqrt(pi).  It is exactly zero in every
+    selection-rule case.
     """
     if l1 < 0 or l2 < 0 or l3 < 0:
         raise ValueError("negative degree")
-    if l1 < 1 or l2 < 1 or _g_selection_zero(l1, m1, l2, m2, l3, m3):
+    # Selection rules.  The triangle is strict: its boundary has an even
+    # degree sum, where g vanishes anyway.
+    if (l1 < 1 or l2 < 1 or m1 + m2 + m3 or not (l1 + l2 + l3) % 2
+            or not abs(l1 - l2) < l3 < l1 + l2
+            or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
         return _ZERO
     a = threej_lm(l1, l2, l3, m1, m2, m3)
     b = threej_lm(l1, l2, l3, 1, -1, 0)
-    # -1/sqrt(4) * L123 * a * b as one radicand; the remaining 1/sqrt(pi) is pi_exp.
-    return StructureValue(SignedSqrtRational._reduce(
-        -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den))
+    # -1/sqrt(4) * L123 * a * b as one radicand.
+    return SignedSqrtRational._reduce(
+        -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den)
 
 
 @dataclass(frozen=True)
 class BracketTerm:
     """One output harmonic of a Poisson bracket expansion.
 
-    The complex coefficient is ``phase * g.to_float()`` where phase is the
-    unit -i*(-1)^(m1+m2), stored as its imaginary part (+1 or -1).
+    The complex coefficient is ``phase * g / sqrt(pi)`` where phase is the
+    unit -i*(-1)^(m1+m2), stored as its imaginary part (+1 or -1), and ``g``
+    is the root returned by ``g_real``.
     """
 
     l3: int
     m3: int
-    g: StructureValue
+    g: SignedSqrtRational
     phase_imag: int
 
     def coefficient(self) -> complex:
-        return complex(0.0, self.phase_imag) * self.g.to_float()
+        # Scale before the phase: the sign of the real part's zero depends on it.
+        return complex(0.0, self.phase_imag) * (self.g.to_float() * _PI_POWER)
 
 
 @dataclass(frozen=True)
@@ -227,10 +196,10 @@ def validate_symmetries(l_max: int) -> SymmetryReport:
                 negated = g_real(l1, -m1, l2, -m2, l3, -m3)
                 swapped = g_real(l2, m2, l1, m1, l3, m3)
                 report.checks += 1
-                if not (base.root == cyclic1.root == cyclic2.root):
+                if not (base == cyclic1 == cyclic2):
                     report.failures.append(SymmetryFailure("cyclic", (l1, m1, l2, m2, l3, m3)))
-                if negated.root != (-base).root:
+                if not _is_negation(negated, base):
                     report.failures.append(SymmetryFailure("order-negation", (l1, m1, l2, m2, l3, m3)))
-                if swapped.root != (-base).root:
+                if not _is_negation(swapped, base):
                     report.failures.append(SymmetryFailure("lower-swap", (l1, m1, l2, m2, l3, m3)))
     return report

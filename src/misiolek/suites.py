@@ -14,7 +14,7 @@ from typing import List, Optional
 from .criterion import critical_table, mc_coriolis, theorem_scan
 from .oracle import QuadratureGrid, oracle_structure_coeff
 from .reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE, REFERENCE_UNDEFINED
-from .structure import HarmonicIndex, bracket_expand, g_real, validate_symmetries
+from .structure import HarmonicIndex, _is_negation, bracket_expand, g_real, validate_symmetries
 from .wigner import (
     ClosedFormDomainError,
     threej_closed_110,
@@ -149,7 +149,7 @@ def structure_suite(l_max: int = 10) -> SuiteResult:
                         res.fail(f"bracket antisymmetry degrees off at ({l1},{m1},{l2},{m2})")
                         continue
                     for t in left:
-                        if right.term(t.l3).g.root != (-t.g).root:
+                        if not _is_negation(right.term(t.l3).g, t.g):
                             res.fail(f"bracket antisymmetry off at ({l1},{m1},{l2},{m2},{t.l3})")
     return res
 

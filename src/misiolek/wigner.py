@@ -8,11 +8,9 @@ separate operations: they are cross-validation targets, not fast paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
-from typing import Optional
 
 from .exact import SignedSqrtRational, factorial
 
@@ -30,37 +28,6 @@ _ZERO = SignedSqrtRational.zero()
 
 def _parity(n: int) -> int:
     return -1 if n % 2 else 1
-
-
-@dataclass(frozen=True)
-class ThreeJArgs:
-    """Arguments (l1 l2 l3; m1 m2 m3) of a 3j symbol, order bounds enforced."""
-
-    l1: int
-    l2: int
-    l3: int
-    m1: int
-    m2: int
-    m3: int
-
-    def __post_init__(self) -> None:
-        for l, m in ((self.l1, self.m1), (self.l2, self.m2), (self.l3, self.m3)):
-            if l < 0:
-                raise ValueError(f"negative degree {l}")
-            if abs(m) > l:
-                raise ValueError(f"order {m} exceeds degree {l}")
-
-    @classmethod
-    def checked(cls, l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> Optional["ThreeJArgs"]:
-        """None when an order exceeds its degree (the symbol is then zero)."""
-        if min(l1, l2, l3) < 0:
-            raise ValueError("negative degree")
-        if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
-            return None
-        return cls(l1, l2, l3, m1, m2, m3)
-
-    def triangle_ok(self) -> bool:
-        return abs(self.l1 - self.l2) <= self.l3 <= self.l1 + self.l2
 
 
 @lru_cache(maxsize=None)
@@ -100,15 +67,8 @@ def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRa
     return SignedSqrtRational._reduce(sign, num, common * common * factorial(l1 + l2 + l3 + 1))
 
 
-def threej(args: ThreeJArgs) -> SignedSqrtRational:
-    """Exact 3j symbol; zero whenever a selection rule fails."""
-    if args.m1 + args.m2 + args.m3 != 0 or not args.triangle_ok():
-        return _ZERO
-    return _racah(args.l1, args.l2, args.l3, args.m1, args.m2, args.m3)
-
-
 def threej_lm(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
-    """threej on bare integers; out-of-range orders also yield zero."""
+    """Exact 3j symbol; zero when a selection rule fails or an order exceeds its degree."""
     if l1 < 0 or l2 < 0 or l3 < 0:
         raise ValueError("negative degree")
     if (m1 + m2 + m3 or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3

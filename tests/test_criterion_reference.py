@@ -49,7 +49,7 @@ def reference_summands(a, b):
     for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
         g = g_real(a.l, a.m, b.l, b.m, l3, m3)
         if not g.is_zero():
-            out.append((l3, g.squared_over_pi(), _turn(a.l) - _turn(l3)))
+            out.append((l3, g.square(), _turn(a.l) - _turn(l3)))
     return out
 
 

@@ -92,7 +92,7 @@ def test_g_real_equals_rational_reference(symbols):
         if l1 < 1 or l2 < 1:
             continue
         sign, square = reference_g(symbols, l1, m1, l2, m2, l3, m3)
-        root = g_real(l1, m1, l2, m2, l3, m3).root
+        root = g_real(l1, m1, l2, m2, l3, m3)
         assert (root.sign, root.num, root.den) == (sign, square.numerator, square.denominator), \
             (l1, m1, l2, m2, l3, m3)
         checked += sign != 0

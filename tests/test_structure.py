@@ -6,15 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import misiolek.structure
 from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
     HarmonicIndex,
+    SymmetryFailure,
     bracket_expand,
     g_real,
     l123,
     validate_symmetries,
 )
+from misiolek.suites import structure_suite
 
 SSR = SignedSqrtRational
 
@@ -46,10 +49,9 @@ def test_g_real_rotation_generator_value():
         for m2 in range(-l2, l2 + 1):
             g = g_real(l2, m2, l2, -m2, 1, 0)
             sign = -1 if m2 % 2 else 1
-            assert g.root == SSR.of(sign * m2, Fraction(3, 4) * m2 * m2)
+            assert g == SSR.of(sign * m2, Fraction(3, 4) * m2 * m2)
     g = g_real(2, 1, 2, -1, 1, 0)
-    assert g.pi_exp == Fraction(-1, 2)
-    assert g.to_float() == pytest.approx(-0.4886025119029199, rel=1e-15)
+    assert g.to_float() * math.pi ** -0.5 == pytest.approx(-0.4886025119029199, rel=1e-15)
 
 
 def test_g_real_parity_zero():
@@ -72,7 +74,7 @@ def test_g_real_lower_swap_antisymmetry_spot():
     for l3 in range(7):
         a = g_real(2, 1, 3, -1, l3, 0)
         b = g_real(3, -1, 2, 1, l3, 0)
-        assert b.root == (-a).root
+        assert b == -a
     assert not g_real(2, 1, 3, -1, 4, 0).is_zero()  # the sweep hits a nonzero case
 
 
@@ -108,6 +110,18 @@ def test_bracket_lookup_by_degree():
                     with pytest.raises(KeyError):
                         expansion.term(l3)
                     assert expansion.coefficient(l3) == 0j
+
+
+def test_bracket_coefficient_float_is_pinned():
+    # The float is the root's float times 1/sqrt(pi), then times the phase;
+    # its bits, signed zeros included, reach the CLI's JSON output.
+    indices = [HarmonicIndex(l, m) for l in range(7) for m in range(-l, l + 1)]
+    for a in indices:
+        for b in indices:
+            for term in bracket_expand(a, b):
+                want = complex(0, term.phase_imag) * (term.g.to_float() * math.pi ** -0.5)
+                got = term.coefficient()
+                assert got == want and repr(got) == repr(want), (a, b, term.l3)
 
 
 def test_bracket_of_identical_fields_is_empty():
@@ -148,7 +162,7 @@ def test_bracket_antisymmetry():
                     assert left.degrees() == right.degrees()
                     for term in left:
                         mirror = right.term(term.l3)
-                        assert mirror.g.root == (-term.g).root
+                        assert mirror.g == -term.g
                         assert mirror.phase_imag == term.phase_imag
 
 
@@ -171,6 +185,43 @@ def test_cyclic_symmetry_property(l1, m1, l2, m2, l3):
     if abs(m3) > l3:
         return
     base = g_real(l1, m1, l2, m2, l3, m3)
-    assert g_real(l3, m3, l1, m1, l2, m2).root == base.root
-    assert g_real(l2, m2, l3, m3, l1, m1).root == base.root
-    assert g_real(l1, -m1, l2, -m2, l3, -m3).root == (-base).root
+    assert g_real(l3, m3, l1, m1, l2, m2) == base
+    assert g_real(l2, m2, l3, m3, l1, m1) == base
+    assert g_real(l1, -m1, l2, -m2, l3, -m3) == -base
+
+
+def _flip_one(monkeypatch, target):
+    """Make g_real return the negated value at one tuple and nowhere else."""
+    honest = misiolek.structure.g_real
+    assert not honest(*target).is_zero()
+
+    def flipped(*args):
+        value = honest(*args)
+        return -value if args == target else value
+
+    monkeypatch.setattr(misiolek.structure, "g_real", flipped)
+
+
+def test_validate_symmetries_reports_a_flipped_sign(monkeypatch):
+    target = (1, 1, 2, -1, 2, 0)
+    l1, m1, l2, m2, l3, m3 = target
+    checks = validate_symmetries(3).checks
+    _flip_one(monkeypatch, target)
+    report = validate_symmetries(3)
+    assert report.checks == checks
+    assert sorted(report.failures, key=repr) == sorted([
+        SymmetryFailure("cyclic", target),
+        SymmetryFailure("order-negation", target),
+        SymmetryFailure("lower-swap", target),
+        SymmetryFailure("cyclic", (l2, m2, l3, m3, l1, m1)),
+        SymmetryFailure("cyclic", (l3, m3, l1, m1, l2, m2)),
+        SymmetryFailure("order-negation", (l1, -m1, l2, -m2, l3, -m3)),
+        SymmetryFailure("lower-swap", (l2, m2, l1, m1, l3, m3)),
+    ], key=repr)
+
+
+def test_structure_suite_reports_a_flipped_sign(monkeypatch):
+    _flip_one(monkeypatch, (1, 1, 2, -1, 2, 0))
+    failures = structure_suite(3).failures
+    assert "bracket antisymmetry off at (1,1,2,-1,2)" in failures
+    assert "bracket antisymmetry off at (2,-1,1,1,2)" in failures

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from misiolek.exact import SignedSqrtRational, factorial
 from misiolek.wigner import (
     ClosedFormDomainError,
-    ThreeJArgs,
     clebsch_gordan,
-    threej,
     threej_closed_110,
     threej_closed_stretched,
     threej_lm,
@@ -71,15 +69,12 @@ def test_selection_rules_exhaustive_small():
                                 assert threej_lm(l1, l2, l3, m1, m2, m3).is_zero()
 
 
-def test_threejargs_validation():
+def test_threej_lm_argument_domain():
     with pytest.raises(ValueError):
-        ThreeJArgs(1, 1, 1, 2, -1, -1)
-    with pytest.raises(ValueError):
-        ThreeJArgs(-1, 1, 1, 0, 0, 0)
-    assert ThreeJArgs.checked(1, 1, 1, 2, -1, -1) is None
-    args = ThreeJArgs.checked(2, 2, 3, 1, 1, -2)
-    assert args is not None
-    assert threej(args) == threej_lm(2, 2, 3, 1, 1, -2)
+        threej_lm(-1, 1, 1, 0, 0, 0)
+    assert threej_lm(1, 1, 1, 2, -1, -1).is_zero()
+    # equal columns with an odd degree sum: the symbol is its own negative
+    assert threej_lm(2, 2, 3, 1, 1, -2) == SSR.zero()
 
 
 def _valid_tuples(l_max):
