@@ -114,6 +114,10 @@ class QuadratureGrid:
     lam: np.ndarray
     lam_weight: float
     _harmonics: Dict[Tuple[int, int], GridFunction] = field(default_factory=dict, repr=False)
+    # The flattened Poisson bracket of the most recently projected pair, keyed
+    # by (l1, m1, l2, m2): one slot, replaced whenever the pair changes.
+    _bracket: Optional[Tuple[Tuple[int, int, int, int], np.ndarray]] = field(
+        default=None, repr=False, compare=False)
 
     @classmethod
     def for_degree(cls, l_max: int) -> "QuadratureGrid":
@@ -156,6 +160,19 @@ class QuadratureGrid:
         self._harmonics[key] = fn
         return fn
 
+    def _cached(self, l: int, m: int) -> GridFunction:
+        """The grid harmonic (l, m); a first request is validated by ``harmonic``."""
+        fn = self._harmonics.get((l, m))
+        return fn if fn is not None else self.harmonic(HarmonicIndex(l, m))
+
+    def _bracket_values(self, l1: int, m1: int, l2: int, m2: int) -> np.ndarray:
+        """Flattened {Y_{l1 m1}, Y_{l2 m2}}, formed only when the pair differs from the last."""
+        key = (l1, m1, l2, m2)
+        if self._bracket is None or self._bracket[0] != key:
+            bracket = poisson_bracket(self._cached(l1, m1), self._cached(l2, m2))
+            self._bracket = (key, bracket.values.ravel())
+        return self._bracket[1]
+
     def mu_field(self) -> GridFunction:
         """The coordinate function mu with its trivial derivatives."""
         ones = np.ones((len(self.mu), len(self.lam)))
@@ -185,11 +202,14 @@ def oracle_structure_coeff(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int,
     """Projection coefficient G^{l3 m3} of {Y_{l1 m1}, Y_{l2 m2}} onto Y_{l3 m3}.
 
     Computed entirely on the grid, independent of the exact pipeline.  The
-    grid must resolve all three degrees.
+    grid must resolve all three degrees.  The grid keeps the bracket of the
+    last pair it projected, so a caller that varies l3 innermost forms one
+    bracket per pair.  The value is bit for bit that of
+    ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_c)``.
     """
     if grid is None:
         grid = QuadratureGrid.for_degree(max(l1, l2, l3))
     if max(l1, l2, l3) > grid.l_max:
         raise ValueError(f"degrees exceed grid resolution l_max={grid.l_max}")
-    bracket = poisson_bracket(grid.harmonic(HarmonicIndex(l1, m1)), grid.harmonic(HarmonicIndex(l2, m2)))
-    return grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(l3, m3)))
+    bracket = grid._bracket_values(l1, m1, l2, m2)
+    return complex(np.dot(bracket, grid._cached(l3, m3).dual.ravel()))

@@ -71,8 +71,9 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
     if l1 < 0 or l2 < 0 or l3 < 0:
         raise ValueError("negative degree")
     # Selection rules.  The triangle is strict: its boundary has an even
-    # degree sum, where g vanishes anyway.
-    if (l1 < 1 or l2 < 1 or m1 + m2 + m3 or not (l1 + l2 + l3) % 2
+    # degree sum, where g vanishes anyway.  Zonal inputs commute: at the odd
+    # degree sum left, (l1 l2 l3; 0 0 0) vanishes.
+    if (l1 < 1 or l2 < 1 or m1 + m2 + m3 or not (l1 + l2 + l3) % 2 or m1 == m2 == 0
             or not abs(l1 - l2) < l3 < l1 + l2
             or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
         return _ZERO

@@ -1,6 +1,7 @@
 """Quadrature oracle: Legendre recurrences, harmonics, brackets, projections."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from misiolek.oracle import (
     ylm_eval,
 )
 from misiolek.structure import HarmonicIndex, bracket_expand
+from misiolek.suites import oracle_suite
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +193,55 @@ def test_grid_resolution_contract(grid):
         oracle_structure_coeff(7, 0, 3, 1, 4, 1, grid)
     with pytest.raises(ValueError):
         grid.harmonic(HarmonicIndex(9, 0))
+    # The same errors while the grid holds the bracket of the pair asked for.
+    oracle_structure_coeff(2, 1, 3, 1, 4, 2, grid)
+    with pytest.raises(ValueError):
+        oracle_structure_coeff(2, 1, 3, 1, 7, 2, grid)  # degree above the grid
+    with pytest.raises(ValueError):
+        oracle_structure_coeff(2, 1, 3, 1, 1, 2, grid)  # |m3| > l3
+    with pytest.raises(ValueError):
+        oracle_structure_coeff(2, 3, 3, 1, 4, 4, grid)  # |m1| > l1
+
+
+def _suite_coefficients(l_max):
+    """(l1, m1, l2, m2, l3, m3) of every projection oracle_suite makes, in its order."""
+    indices = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    return [(l1, m1, l2, m2, l3, m1 + m2)
+            for l1, m1 in indices for l2, m2 in indices
+            for l3 in range(l_max + 1) if abs(m1 + m2) <= l3]
+
+
+def _projected_directly(grid, l1, m1, l2, m2, l3, m3):
+    bracket = poisson_bracket(grid.harmonic(HarmonicIndex(l1, m1)), grid.harmonic(HarmonicIndex(l2, m2)))
+    return grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(l3, m3)))
+
+
+@pytest.mark.parametrize("order", ["suite", "shuffled"])
+def test_structure_coeff_is_the_direct_projection_bit_for_bit(grid, order):
+    # The grid keeps one pair's bracket; in shuffled order it is replaced
+    # between almost every two calls, in suite order once per pair.
+    coeffs = _suite_coefficients(6)
+    assert len(coeffs) == 8876
+    if order == "shuffled":
+        random.Random(7).shuffle(coeffs)
+    for args in coeffs:
+        got = oracle_structure_coeff(*args, grid)
+        want = _projected_directly(grid, *args)
+        assert got == want and repr(got) == repr(want), args
+
+
+def test_structure_coeff_without_a_grid_builds_its_own():
+    got = oracle_structure_coeff(2, 1, 3, -2, 4, -1)
+    want = _projected_directly(QuadratureGrid.for_degree(4), 2, 1, 3, -2, 4, -1)
+    assert got == want and repr(got) == repr(want)
+    assert abs(got - bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -2)).coefficient(4)) < 1e-12
+
+
+def test_oracle_suite_at_degree_6():
+    result = oracle_suite(6)
+    assert result.checks == 13678
+    assert result.failures == []
+    assert result.max_deviation <= 1e-12
 
 
 def test_oracle_matches_exact_pipeline_small(grid):

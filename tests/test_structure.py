@@ -83,6 +83,18 @@ def test_g_real_order_sum_selection():
     assert not g_real(2, 1, 3, 1, 4, -2).is_zero()
 
 
+def test_g_real_zonal_pairs_commute_without_racah(monkeypatch):
+    # {Y_{l1 0}, Y_{l2 0}} = 0: the selection rules return zero before any 3j symbol
+    def no_threej(*args):
+        raise AssertionError(f"threej_lm{args} called for a zonal pair")
+
+    monkeypatch.setattr(misiolek.structure, "threej_lm", no_threej)
+    for l1 in range(13):
+        for l2 in range(13):
+            for l3 in range(13):
+                assert g_real(l1, 0, l2, 0, l3, 0) == SSR.zero()
+
+
 def test_bracket_with_rotation_generator():
     # {Y_{1 0}, Y_{l m}}: single term at l3 = l with magnitude |m| sqrt(3/(4 pi))
     for l2, m2 in ((2, 1), (3, -2), (5, 4)):
