@@ -170,7 +170,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     names = [args.suite] if args.suite else list(SUITE_NAMES)
     ok = True
     for name in names:
-        result = run_suite(name, args.lmax)
+        try:
+            result = run_suite(name, args.lmax)
+        except ValueError as exc:  # a degree cap the suite does not accept
+            parser.error(f"--lmax {args.lmax} for suite {name}: {exc}")
         _emit(result.summary(), sys.stdout)
         if not result.ok:
             ok = False

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Tuple
 
 from .exact import SignedSqrtRational
-from .wigner import _parity, threej_lm
+from .wigner import _parity, threej_band, threej_lm
 
 
 @dataclass(frozen=True)
@@ -139,18 +140,31 @@ class BracketExpansion:
 def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
     """Expand the Poisson bracket of two harmonics; zero terms are dropped.
 
-    Degree-zero inputs (constant stream functions) give the empty expansion.
+    Degree-zero inputs (constant stream functions) and zonal pairs commute,
+    so they give the empty expansion.  Every other pair takes its m-symbols
+    from one ``threej_band`` recurrence, and each term is ``g_real``'s value,
+    reduced once from the band's unreduced square.
     """
-    if a.l == 0 or b.l == 0:
+    l1, m1, l2, m2 = a.l, a.m, b.l, b.m
+    if l1 == 0 or l2 == 0 or m1 == m2 == 0:
         return BracketExpansion(a, b)
-    m3 = a.m + b.m
+    m3 = m1 + m2
     phase_imag = -_parity(m3)  # imaginary part of -i*(-1)^(m1+m2)
+    pair = (2 * l1 + 1) * (2 * l2 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)  # L123^2 / (2 l3 + 1)
     terms = []
-    # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
-    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
-        g = g_real(a.l, a.m, b.l, b.m, l3, -m3)
-        if not g.is_zero():
-            terms.append(BracketTerm(l3, m3, g, phase_imag))
+    # g vanishes unless l1 + l2 + l3 is odd with |l1 - l2| < l3 < l1 + l2.  The
+    # band starts at l3 = l1 + l2, so the odd sums are every other symbol from
+    # its second on.
+    band = threej_band(l1, l2, m1, m2, abs(l1 - l2) + 1)
+    for l3, sign, num, den in islice(band, 1, None, 2):
+        if not sign:
+            continue
+        flat = threej_lm(l1, l2, l3, 1, -1, 0)
+        # -1/sqrt(4) * L123 * (m-symbol) * flat as one radicand, as in g_real.
+        g = SignedSqrtRational._reduce(
+            -sign * flat.sign, (2 * l3 + 1) * pair * num * flat.num, 4 * den * flat.den)
+        terms.append(BracketTerm(l3, m3, g, phase_imag))
+    terms.reverse()
     return BracketExpansion(a, b, tuple(terms))
 
 

@@ -176,10 +176,10 @@ def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
         if a.l == 0:
             continue
         for b in indices:
-            if b.l == 0:
-                continue
-            expansion = bracket_expand(a, b)
             m3 = a.m + b.m
+            if b.l == 0 or abs(m3) > l_max:
+                continue  # no l3 <= l_max carries order m3
+            expansion = bracket_expand(a, b)
             for l3 in range(l_max + 1):
                 if abs(m3) > l3:
                     continue

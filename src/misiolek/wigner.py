@@ -2,15 +2,18 @@
 
 The general path evaluates the Racah alternating sum in integer arithmetic
 over one common denominator and only then splits off the square root, so
-cancellations are exact.  Two closed forms and one recursion are kept as
-separate operations: they are cross-validation targets, not fast paths.
+cancellations are exact; it is the single-symbol path.  A whole band of
+symbols over the third degree comes from one integer three-term recurrence
+instead.  Two closed forms and one recursion are kept as separate
+operations: they are cross-validation targets, not fast paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import perm
+from math import comb, perm
+from typing import Iterator, Tuple
 
 from .exact import SignedSqrtRational, factorial
 
@@ -65,6 +68,46 @@ def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRa
         * factorial(l3 + m3) * factorial(l3 - m3)
     )
     return SignedSqrtRational._reduce(sign, num, common * common * factorial(l1 + l2 + l3 + 1))
+
+
+def threej_band(l1: int, l2: int, m1: int, m2: int, j_low: int) -> Iterator[Tuple[int, int, int, int]]:
+    """The symbols (l1 l2 j; m1 m2 m3), m3 = -(m1+m2), for j from l1+l2 down.
+
+    Yields ``(j, sign, num, den)``: the symbol is ``sign * sqrt(num/den)``,
+    with ``num/den`` left unreduced.  The whole band comes from one exact
+    three-term recurrence in j (Schulten & Gordon, J. Math. Phys. 16 (1975)
+    1961; Luscombe & Luban, Phys. Rev. E 57 (1998) 7274):
+
+        j A(j+1) f(j+1) + B(j) f(j) + (j+1) A(j) f(j-1) = 0,
+        A(j)^2 = (j^2 - (l1-l2)^2) ((l1+l2+1)^2 - j^2) (j^2 - m3^2),
+        B(j) = -(2j+1) (l1(l1+1) m3 - l2(l2+1) m3 - j(j+1) (m2-m1)).
+
+    Seeded with the stretched symbol f(l1+l2) = +-sqrt(p/q) and written as
+    f(j) = f(l1+l2) u(j) / (d(j) sqrt(Q(j))), it runs in integers:
+    u(j-1) = -(B(j) u(j) + j(j+2) A(j+1)^2 u(j+1)), d(j-1) = (j+1) d(j) and
+    Q(j-1) = Q(j) A(j)^2.  The band stops at max(j_low, |l1-l2|, |m3|),
+    where A vanishes.  Orders must not exceed their degrees.
+    """
+    m3 = -(m1 + m2)
+    top = l1 + l2
+    sign = _parity(l1 - l2 - m3)
+    # The stretched symbol's square p/q: its factorial ratio is
+    # C(2 l1, l1+m1) C(2 l2, l2+m2) / ((2 top + 1) C(2 top, top-m3)).
+    p = comb(2 * l1, l1 + m1) * comb(2 * l2, l2 + m2)
+    den = (2 * top + 1) * comb(2 * top, top - m3)
+    yield top, sign, p, den
+    diff2, sum2, m3_2 = (l1 - l2) ** 2, (top + 1) ** 2, m3 * m3
+    turn, dm = (l1 * (l1 + 1) - l2 * (l2 + 1)) * m3, m2 - m1
+    u_above, u, a2_above = 0, 1, 0
+    for j in range(top, max(j_low, abs(l1 - l2), abs(m3)), -1):
+        jj = j * j
+        a2 = (jj - diff2) * (sum2 - jj) * (jj - m3_2)
+        # u(j-1) = -(B(j) u(j) + j(j+2) A(j+1)^2 u(j+1)), with -B(j) expanded.
+        u_above, u = u, (2 * j + 1) * (turn - (jj + j) * dm) * u - j * (j + 2) * a2_above * u_above
+        # den = q d(j-1)^2 Q(j-1) = q d(j)^2 Q(j) (j+1)^2 A(j)^2.
+        den *= (j + 1) * (j + 1) * a2
+        a2_above = a2
+        yield j - 1, (sign if u > 0 else -sign) if u else 0, p * u * u, den
 
 
 def threej_lm(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:

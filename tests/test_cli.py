@@ -172,3 +172,12 @@ def test_verify_oracle_suite_small(capsys):
     summary = json.loads(out)
     assert summary["failures"] == 0
     assert summary["max_deviation"] < 1e-9
+
+
+def test_verify_cap_outside_a_suite_domain_is_usage_error(capsys):
+    assert run_cli_expect_usage_error("verify", "--suite", "theorem", "--lmax", "2") == 2
+    assert run_cli_expect_usage_error("verify", "--suite", "oracle", "--lmax", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--lmax 2 for suite theorem: requires l_max >= 3" in captured.err
+    assert "--lmax -1 for suite oracle: l_max must be nonnegative" in captured.err

@@ -233,7 +233,19 @@ def test_validate_symmetries_reports_a_flipped_sign(monkeypatch):
 
 
 def test_structure_suite_reports_a_flipped_sign(monkeypatch):
-    _flip_one(monkeypatch, (1, 1, 2, -1, 2, 0))
+    # bracket_expand reads its m-symbols from the band: flip the one of the
+    # pair (1, 1), (2, -1) at l3 = 2 there, and only there.
+    honest = misiolek.structure.threej_band
+    target = (1, 2, 1, -1)
+
+    def flipped(*args):
+        for j, sign, num, den in honest(*args):
+            if args[:4] == target and j == 2:
+                assert sign != 0
+                sign = -sign
+            yield j, sign, num, den
+
+    monkeypatch.setattr(misiolek.structure, "threej_band", flipped)
     failures = structure_suite(3).failures
     assert "bracket antisymmetry off at (1,1,2,-1,2)" in failures
     assert "bracket antisymmetry off at (2,-1,1,1,2)" in failures
