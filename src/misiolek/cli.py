@@ -26,7 +26,7 @@ from .criterion import (
 )
 from .exact import SignedSqrtRational
 from .structure import HarmonicIndex, bracket_expand
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, run_suite, suite_cap
 from .wigner import threej_lm
 
 
@@ -168,12 +168,15 @@ def cmd_critical_table(parser: argparse.ArgumentParser, args: argparse.Namespace
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     names = [args.suite] if args.suite else list(SUITE_NAMES)
-    ok = True
+    # Every cap is checked before any suite runs, so a usage error writes no record.
     for name in names:
         try:
-            result = run_suite(name, args.lmax)
-        except ValueError as exc:  # a degree cap the suite does not accept
+            suite_cap(name, args.lmax)
+        except ValueError as exc:
             parser.error(f"--lmax {args.lmax} for suite {name}: {exc}")
+    ok = True
+    for name in names:
+        result = run_suite(name, args.lmax)
         _emit(result.summary(), sys.stdout)
         if not result.ok:
             ok = False

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Iterator, List, Tuple
+from itertools import islice, permutations
+from operator import attrgetter
+from typing import Iterator, List, Tuple
 
 from .exact import SignedSqrtRational
 from .wigner import _parity, threej_band, threej_lm
@@ -85,36 +86,59 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
         -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den)
 
 
-@dataclass(frozen=True)
 class BracketTerm:
     """One output harmonic of a Poisson bracket expansion.
 
     The complex coefficient is ``phase * g / sqrt(pi)`` where phase is the
     unit -i*(-1)^(m1+m2), stored as its imaginary part (+1 or -1), and ``g``
-    is the root returned by ``g_real``.
+    is the root returned by ``g_real``.  Terms are immutable.
     """
 
-    l3: int
-    m3: int
-    g: SignedSqrtRational
-    phase_imag: int
+    __slots__ = ("l3", "m3", "g", "phase_imag")
+
+    def __init__(self, l3: int, m3: int, g: SignedSqrtRational, phase_imag: int) -> None:
+        _set_l3(self, l3)
+        _set_m3(self, m3)
+        _set_g(self, g)
+        _set_phase_imag(self, phase_imag)
 
     def coefficient(self) -> complex:
         # Scale before the phase: the sign of the real part's zero depends on it.
         return complex(0.0, self.phase_imag) * (self.g.to_float() * _PI_POWER)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-@dataclass(frozen=True)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.l3, self.m3, self.g, self.phase_imag))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BracketTerm):
+            return NotImplemented
+        return (self.l3, self.m3, self.g, self.phase_imag) == (other.l3, other.m3, other.g, other.phase_imag)
+
+    def __hash__(self) -> int:
+        return hash((self.l3, self.m3, self.g, self.phase_imag))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(l3={self.l3!r}, m3={self.m3!r}, g={self.g!r}, "
+                f"phase_imag={self.phase_imag!r})")
+
+
 class BracketExpansion:
-    """Expansion of {Y_{l1 m1}, Y_{l2 m2}} over output degrees l3."""
+    """Expansion of {Y_{l1 m1}, Y_{l2 m2}} over output degrees l3; immutable."""
 
-    input1: HarmonicIndex
-    input2: HarmonicIndex
-    terms: Tuple[BracketTerm, ...] = field(default_factory=tuple)
-    _by_degree: Dict[int, BracketTerm] = field(init=False, repr=False, compare=False)
+    __slots__ = ("input1", "input2", "terms", "_by_degree")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_degree", {t.l3: t for t in self.terms})
+    def __init__(self, input1: HarmonicIndex, input2: HarmonicIndex,
+                 terms: Tuple[BracketTerm, ...] = ()) -> None:
+        _set_input1(self, input1)
+        _set_input2(self, input2)
+        _set_terms(self, terms)
+        _set_by_degree(self, {t.l3: t for t in terms})
 
     @property
     def output_order(self) -> int:
@@ -135,6 +159,38 @@ class BracketExpansion:
 
     def __iter__(self) -> Iterator[BracketTerm]:
         return iter(self.terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.input1, self.input2, self.terms))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BracketExpansion):
+            return NotImplemented
+        return (self.input1, self.input2, self.terms) == (other.input1, other.input2, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.input1, self.input2, self.terms))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(input1={self.input1!r}, input2={self.input2!r}, "
+                f"terms={self.terms!r})")
+
+
+# Slot writers that bypass the refusing __setattr__; only the constructors use them.
+_set_l3 = BracketTerm.l3.__set__
+_set_m3 = BracketTerm.m3.__set__
+_set_g = BracketTerm.g.__set__
+_set_phase_imag = BracketTerm.phase_imag.__set__
+_set_input1 = BracketExpansion.input1.__set__
+_set_input2 = BracketExpansion.input2.__set__
+_set_terms = BracketExpansion.terms.__set__
+_set_by_degree = BracketExpansion._by_degree.__set__
 
 
 def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
@@ -185,36 +241,43 @@ class SymmetryReport:
         return not self.failures
 
 
-def _index_pairs(l_max: int) -> Iterator[Tuple[int, int]]:
-    for l in range(l_max + 1):
-        for m in range(-l, l + 1):
-            yield l, m
-
-
 def validate_symmetries(l_max: int) -> SymmetryReport:
     """Exhaustively check the cyclic, order-negation and lower-swap identities.
 
     All tuples with degrees <= l_max and orders summing to zero are checked
     (other tuples vanish identically on both sides).  These are exact
     identities, so any failure is a defect, not a tolerance issue.
+
+    The identities only permute the degrees, so the tuples are taken one
+    degree multiset {l1, l2, l3} at a time: ``g_real`` runs once per tuple of
+    the group, at the tuple's own arguments, and every identity reads its
+    values from that table, which is dropped before the next group.  Failures
+    are reported in (l1, m1, l2, m2, l3) order, and per tuple as cyclic,
+    order-negation, lower-swap.
     """
     report = SymmetryReport(l_max)
-    for l1, m1 in _index_pairs(l_max):
-        for l2, m2 in _index_pairs(l_max):
-            for l3 in range(l_max + 1):
-                m3 = -(m1 + m2)
-                if abs(m3) > l3:
-                    continue
-                base = g_real(l1, m1, l2, m2, l3, m3)
-                cyclic1 = g_real(l3, m3, l1, m1, l2, m2)
-                cyclic2 = g_real(l2, m2, l3, m3, l1, m1)
-                negated = g_real(l1, -m1, l2, -m2, l3, -m3)
-                swapped = g_real(l2, m2, l1, m1, l3, m3)
-                report.checks += 1
-                if not (base == cyclic1 == cyclic2):
-                    report.failures.append(SymmetryFailure("cyclic", (l1, m1, l2, m2, l3, m3)))
-                if not _is_negation(negated, base):
-                    report.failures.append(SymmetryFailure("order-negation", (l1, m1, l2, m2, l3, m3)))
-                if not _is_negation(swapped, base):
-                    report.failures.append(SymmetryFailure("lower-swap", (l1, m1, l2, m2, l3, m3)))
+    failures = report.failures
+    for a in range(l_max + 1):
+        for b in range(a, l_max + 1):
+            for c in range(b, l_max + 1):
+                values = {}
+                for l1, l2, l3 in dict.fromkeys(permutations((a, b, c))):
+                    for m1 in range(-l1, l1 + 1):
+                        for m2 in range(max(-l2, -l3 - m1), min(l2, l3 - m1) + 1):
+                            args = (l1, m1, l2, m2, l3, -(m1 + m2))
+                            g = g_real(*args)
+                            values[args] = (g.sign, g.num, g.den)
+                report.checks += len(values)
+                for args, base in values.items():
+                    l1, m1, l2, m2, l3, m3 = args
+                    sign, num, den = base
+                    negated = (-sign, num, den)
+                    if not (base == values[l3, m3, l1, m1, l2, m2] == values[l2, m2, l3, m3, l1, m1]):
+                        failures.append(SymmetryFailure("cyclic", args))
+                    if values[l1, -m1, l2, -m2, l3, -m3] != negated:
+                        failures.append(SymmetryFailure("order-negation", args))
+                    if values[l2, m2, l1, m1, l3, m3] != negated:
+                        failures.append(SymmetryFailure("lower-swap", args))
+    # Stable: a tuple's identities keep their order.
+    failures.sort(key=attrgetter("indices"))
     return report

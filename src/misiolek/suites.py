@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional
 
 from .criterion import critical_table, mc_coriolis, theorem_scan
@@ -24,6 +25,28 @@ from .wigner import (
 )
 
 SUITE_NAMES = ("wigner", "structure", "oracle", "theorem", "table")
+
+#: Default degree cap and smallest accepted cap of each suite that takes one.
+_CAPS = {"wigner": (12, 0), "structure": (10, 0), "oracle": (6, 0), "theorem": (12, 3)}
+
+
+def suite_cap(name: str, l_max: Optional[int] = None) -> Optional[int]:
+    """Degree cap that suite ``name`` runs at: ``l_max``, or the default if None.
+
+    Raises ValueError for an unknown suite or a cap outside the suite's
+    domain, so a caller can check every cap before running any suite.  The
+    table suite checks fixed tables and ignores ``l_max``; its cap is None.
+    """
+    if name == "table":
+        return None
+    if name not in _CAPS:
+        raise ValueError(f"unknown suite {name!r}")
+    default, least = _CAPS[name]
+    if l_max is None:
+        return default
+    if l_max < least:
+        raise ValueError(f"requires l_max >= {least}" if least else "l_max must be nonnegative")
+    return l_max
 
 
 @dataclass
@@ -57,6 +80,7 @@ class SuiteResult:
 
 def wigner_suite(l_max: int = 12) -> SuiteResult:
     """Closed forms against the Racah path, symmetries, and orthogonality."""
+    suite_cap("wigner", l_max)
     res = SuiteResult("wigner", l_max)
     for l1 in range(l_max + 1):
         for m in range(l_max + 1):
@@ -116,6 +140,7 @@ def wigner_suite(l_max: int = 12) -> SuiteResult:
 
 def structure_suite(l_max: int = 10) -> SuiteResult:
     """Structure-constant identities, selection-rule zeros, antisymmetry."""
+    suite_cap("structure", l_max)
     res = SuiteResult("structure", l_max)
     symmetry = validate_symmetries(l_max)
     res.checks += symmetry.checks
@@ -137,25 +162,35 @@ def structure_suite(l_max: int = 10) -> SuiteResult:
                         if not g_real(l1, m1, l2, m2, l3, m3).is_zero():
                             reason = "parity" if parity_even else "triangle"
                             res.fail(f"{reason} zero violated at ({l1},{m1},{l2},{m2},{l3},{m3})")
+    # Bracket antisymmetry, one unordered degree pair {l1, l2} at a time: each
+    # ordered pair is expanded once and its mirror read back from the group.
     cap = min(l_max, 6)
+    harmonics = [[HarmonicIndex(l, m) for m in range(-l, l + 1)] for l in range(cap + 1)]
+    antisymmetry = []
     for l1 in range(1, cap + 1):
-        for m1 in range(-l1, l1 + 1):
-            for l2 in range(1, cap + 1):
-                for m2 in range(-l2, l2 + 1):
-                    left = bracket_expand(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2))
-                    right = bracket_expand(HarmonicIndex(l2, m2), HarmonicIndex(l1, m1))
-                    res.checks += 1
-                    if left.degrees() != right.degrees():
-                        res.fail(f"bracket antisymmetry degrees off at ({l1},{m1},{l2},{m2})")
-                        continue
-                    for t in left:
-                        if not _is_negation(right.term(t.l3).g, t.g):
-                            res.fail(f"bracket antisymmetry off at ({l1},{m1},{l2},{m2},{t.l3})")
+        for l2 in range(l1, cap + 1):
+            expansions = {(a.l, a.m, b.l, b.m): bracket_expand(a, b)
+                          for la, lb in dict.fromkeys(((l1, l2), (l2, l1)))
+                          for a in harmonics[la] for b in harmonics[lb]}
+            res.checks += len(expansions)
+            for pair, left in expansions.items():
+                la, ma, lb, mb = pair
+                right = expansions[lb, mb, la, ma]
+                if left.degrees() != right.degrees():
+                    antisymmetry.append((pair, f"bracket antisymmetry degrees off at ({la},{ma},{lb},{mb})"))
+                    continue
+                for t in left:
+                    if not _is_negation(right.term(t.l3).g, t.g):
+                        antisymmetry.append((pair, f"bracket antisymmetry off at ({la},{ma},{lb},{mb},{t.l3})"))
+    # Stable: in (l1, m1, l2, m2) order, and per pair in ascending l3.
+    antisymmetry.sort(key=itemgetter(0))
+    res.failures.extend(message for _, message in antisymmetry)
     return res
 
 
 def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
     """Quadrature projections against the exact pipeline, plus grid identities."""
+    suite_cap("oracle", l_max)
     res = SuiteResult("oracle", l_max)
     grid = QuadratureGrid.for_degree(l_max)
     indices = [HarmonicIndex(l, m) for l in range(l_max + 1) for m in range(-l, l + 1)]
@@ -195,6 +230,7 @@ def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
 
 def theorem_suite(l_max: int = 12) -> SuiteResult:
     """Exact positivity sweep of the criterion theorem."""
+    suite_cap("theorem", l_max)
     res = SuiteResult("theorem", l_max)
     scan = theorem_scan(l_max)
     res.checks = scan.checked_pairs + scan.checked_wave_pairs + scan.checked_zonal + scan.checked_chains
@@ -237,14 +273,13 @@ def table_suite() -> SuiteResult:
 
 
 def run_suite(name: str, l_max: Optional[int] = None) -> SuiteResult:
+    cap = suite_cap(name, l_max)
     if name == "wigner":
-        return wigner_suite(l_max if l_max is not None else 12)
+        return wigner_suite(cap)
     if name == "structure":
-        return structure_suite(l_max if l_max is not None else 10)
+        return structure_suite(cap)
     if name == "oracle":
-        return oracle_suite(l_max if l_max is not None else 6)
+        return oracle_suite(cap)
     if name == "theorem":
-        return theorem_suite(l_max if l_max is not None else 12)
-    if name == "table":
-        return table_suite()
-    raise ValueError(f"unknown suite {name!r}")
+        return theorem_suite(cap)
+    return table_suite()

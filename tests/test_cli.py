@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+import misiolek.cli
 from misiolek.cli import main
+from misiolek.suites import SUITE_NAMES, run_suite, structure_suite, suite_cap, wigner_suite
 
 
 def run_cli(capsys, *argv):
@@ -177,7 +179,39 @@ def test_verify_oracle_suite_small(capsys):
 def test_verify_cap_outside_a_suite_domain_is_usage_error(capsys):
     assert run_cli_expect_usage_error("verify", "--suite", "theorem", "--lmax", "2") == 2
     assert run_cli_expect_usage_error("verify", "--suite", "oracle", "--lmax", "-1") == 2
+    assert run_cli_expect_usage_error("verify", "--suite", "wigner", "--lmax", "-1") == 2
+    assert run_cli_expect_usage_error("verify", "--suite", "structure", "--lmax", "-1") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--lmax 2 for suite theorem: requires l_max >= 3" in captured.err
     assert "--lmax -1 for suite oracle: l_max must be nonnegative" in captured.err
+    assert "--lmax -1 for suite wigner: l_max must be nonnegative" in captured.err
+    assert "--lmax -1 for suite structure: l_max must be nonnegative" in captured.err
+
+
+def test_verify_all_suites_check_every_cap_before_running_any(capsys, monkeypatch):
+    # wigner, structure and oracle accept --lmax 2 and theorem does not: the
+    # usage error comes before any suite runs, so stdout stays empty.
+    def no_run(*args):
+        raise AssertionError(f"run_suite{args} called before every cap was checked")
+
+    monkeypatch.setattr(misiolek.cli, "run_suite", no_run)
+    assert run_cli_expect_usage_error("verify", "--lmax", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--lmax 2 for suite theorem: requires l_max >= 3" in captured.err
+
+
+def test_suite_cap_is_the_rule_run_suite_applies():
+    assert [suite_cap(name) for name in SUITE_NAMES] == [12, 10, 6, 12, None]
+    assert suite_cap("table", -5) is None  # fixed tables: the cap is ignored
+    assert suite_cap("theorem", 3) == 3 and suite_cap("wigner", 0) == 0
+    for name, l_max in (("wigner", -1), ("structure", -1), ("oracle", -1), ("theorem", 2), ("nope", 4)):
+        with pytest.raises(ValueError):
+            suite_cap(name, l_max)
+        with pytest.raises(ValueError):
+            run_suite(name, l_max)
+    with pytest.raises(ValueError, match="l_max must be nonnegative"):
+        wigner_suite(-1)
+    with pytest.raises(ValueError, match="l_max must be nonnegative"):
+        structure_suite(-1)

@@ -1,15 +1,20 @@
 """Structure constants: Dowker pipeline, bracket expansion, symmetries."""
 
 import math
+import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import misiolek.structure
+import misiolek.suites
 from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
+    BracketExpansion,
+    BracketTerm,
     HarmonicIndex,
     SymmetryFailure,
     bracket_expand,
@@ -153,6 +158,56 @@ def test_bracket_band_and_parity():
         assert (2 + 3 + term.l3) % 2 == 1
 
 
+def test_bracket_term_value_semantics():
+    g = SSR.of(-1, Fraction(18, 7))
+    term = BracketTerm(2, 0, g, -1)
+    assert term == BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
+    assert term != BracketTerm(2, 0, g, 1) and term != BracketTerm(4, 0, g, -1)
+    assert term != (2, 0, g, -1)
+    assert hash(term) == hash((2, 0, g, -1))
+    assert len({term, BracketTerm(2, 0, g, -1)}) == 1
+    assert repr(term) == ("BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, "
+                          "radicand=Fraction(18, 7)), phase_imag=-1)")
+    assert (term.l3, term.m3, term.g, term.phase_imag) == (2, 0, g, -1)
+    assert pickle.loads(pickle.dumps(term)) == term
+    with pytest.raises(AttributeError):
+        term.l3 = 4
+    with pytest.raises(AttributeError):
+        term.extra = 1
+    with pytest.raises(AttributeError):
+        del term.g
+
+
+def test_bracket_expansion_value_semantics():
+    a, b = HarmonicIndex(2, 1), HarmonicIndex(3, -1)
+    expansion = bracket_expand(a, b)
+    again = BracketExpansion(a, b, tuple(expansion))
+    assert expansion == again and hash(expansion) == hash(again)
+    assert hash(expansion) == hash((a, b, expansion.terms))
+    assert expansion != BracketExpansion(b, a, expansion.terms)
+    assert expansion != BracketExpansion(a, b)
+    assert repr(expansion) == (
+        "BracketExpansion(input1=HarmonicIndex(l=2, m=1), input2=HarmonicIndex(l=3, m=-1), "
+        "terms=(BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, radicand=Fraction(18, 7)), "
+        "phase_imag=-1), BracketTerm(l3=4, m3=0, g=SignedSqrtRational(sign=-1, "
+        "radicand=Fraction(125, 14)), phase_imag=-1)))")
+    assert expansion.degrees() == [2, 4] and list(expansion) == list(expansion.terms)
+    assert expansion.term(4) is expansion.terms[1]
+    assert expansion.coefficient(4) == expansion.terms[1].coefficient()
+    assert expansion.coefficient(3) == 0j
+    with pytest.raises(KeyError):
+        expansion.term(3)
+    empty = BracketExpansion(HarmonicIndex(0, 0), HarmonicIndex(1, 0))
+    assert empty.terms == () and empty.degrees() == [] and list(empty) == []
+    assert repr(empty) == ("BracketExpansion(input1=HarmonicIndex(l=0, m=0), "
+                           "input2=HarmonicIndex(l=1, m=0), terms=())")
+    assert pickle.loads(pickle.dumps(expansion)) == expansion
+    with pytest.raises(AttributeError):
+        expansion.terms = ()
+    with pytest.raises(AttributeError):
+        del expansion.input1
+
+
 def test_bracket_degrees_are_the_nonzero_band():
     # bracket_expand and mc_flat step l3 by parity; the skipped l3 must all vanish
     indices = [HarmonicIndex(l, m) for l in range(1, 7) for m in range(-l, l + 1)]
@@ -215,21 +270,63 @@ def _flip_one(monkeypatch, target):
 
 
 def test_validate_symmetries_reports_a_flipped_sign(monkeypatch):
+    # In the order of the (l1, m1, l2, m2, l3) loop, and per tuple cyclic,
+    # order-negation, lower-swap.
     target = (1, 1, 2, -1, 2, 0)
     l1, m1, l2, m2, l3, m3 = target
     checks = validate_symmetries(3).checks
     _flip_one(monkeypatch, target)
     report = validate_symmetries(3)
     assert report.checks == checks
-    assert sorted(report.failures, key=repr) == sorted([
+    assert report.failures == [
+        SymmetryFailure("order-negation", (l1, -m1, l2, -m2, l3, -m3)),
         SymmetryFailure("cyclic", target),
         SymmetryFailure("order-negation", target),
         SymmetryFailure("lower-swap", target),
+        SymmetryFailure("lower-swap", (l2, m2, l1, m1, l3, m3)),
         SymmetryFailure("cyclic", (l2, m2, l3, m3, l1, m1)),
         SymmetryFailure("cyclic", (l3, m3, l1, m1, l2, m2)),
-        SymmetryFailure("order-negation", (l1, -m1, l2, -m2, l3, -m3)),
-        SymmetryFailure("lower-swap", (l2, m2, l1, m1, l3, m3)),
-    ], key=repr)
+    ]
+
+
+def test_validate_symmetries_evaluates_each_tuple_once(monkeypatch):
+    honest = misiolek.structure.g_real
+    calls = Counter()
+
+    def counting(*args):
+        calls[args] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(misiolek.structure, "g_real", counting)
+    l_max = 4
+    report = validate_symmetries(l_max)
+    checked = {(l1, m1, l2, m2, l3, -(m1 + m2))
+               for l1 in range(l_max + 1) for m1 in range(-l1, l1 + 1)
+               for l2 in range(l_max + 1) for m2 in range(-l2, l2 + 1)
+               for l3 in range(abs(m1 + m2), l_max + 1)}
+    assert report.ok and report.checks == len(checked)
+    assert set(calls) == checked and set(calls.values()) == {1}
+
+
+def test_structure_suite_expands_each_ordered_pair_once(monkeypatch):
+    honest = misiolek.suites.bracket_expand
+    calls = Counter()
+
+    def counting(a, b):
+        calls[a.l, a.m, b.l, b.m] += 1
+        return honest(a, b)
+
+    monkeypatch.setattr(misiolek.suites, "bracket_expand", counting)
+    assert structure_suite(3).ok
+    indices = [(l, m) for l in range(1, 4) for m in range(-l, l + 1)]
+    assert set(calls) == {a + b for a in indices for b in indices}
+    assert set(calls.values()) == {1}
+
+
+def test_symmetry_check_counts_are_pinned():
+    suite = structure_suite(5)
+    assert (suite.checks, suite.failures) == (6339, [])
+    assert validate_symmetries(10).checks == 88913
 
 
 def test_structure_suite_reports_a_flipped_sign(monkeypatch):
