@@ -2,16 +2,20 @@
 """Regenerate the zonal critical-ratio tables and diff them against the
 frozen reference values.
 
-Writes one CSV per odd flow degree into --outdir (default: ./tables) and
-prints the worst relative deviation per table.
+Writes one CSV per flow degree into --outdir (default: ./tables) through
+`misiolek critical-table --out`, so each file is byte-equal to that
+command's output.  Each degree with a reference is then checked by the
+`verify --suite table` block for that degree, on the reference's own grid
+whatever --l2-max is, and its worst relative deviation is printed.
 """
 
 import argparse
 import pathlib
 import sys
 
-from misiolek.criterion import critical_table
-from misiolek.reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE, REFERENCE_UNDEFINED
+from misiolek.cli import main as cli_main
+from misiolek.reference import REFERENCE_RATIOS
+from misiolek.suites import SuiteResult, check_reference_table
 
 
 def main() -> int:
@@ -25,34 +29,19 @@ def main() -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     status = 0
     for l1 in args.degrees:
-        table = critical_table(l1, l2_max=args.l2_max)
         path = args.outdir / f"critical_ratios_l1_{l1}.csv"
-        with path.open("w") as out:
-            out.write("l2,m2,ratio,direction,status\n")
-            for cell in table.cells:
-                ratio = repr(cell.value) if cell.defined else ""
-                direction = cell.direction or ""
-                out.write(f"{cell.l2},{cell.m2},{ratio},{direction},{cell.status}\n")
-        reference = REFERENCE_RATIOS.get(l1)
-        if reference is None:
-            print(f"l1={l1}: {len(table.defined_cells())} defined cells -> {path} (no reference)")
+        cli_main(["critical-table", "--l1", str(l1), "--l2-max", str(args.l2_max),
+                  "--out", str(path)])
+        if l1 not in REFERENCE_RATIOS:
+            print(f"l1={l1}: -> {path} (no reference)")
             continue
-        worst = 0.0
-        problems = []
-        for (l2, m2), ref in reference.items():
-            cell = table.cell(l2, m2)
-            if not cell.defined:
-                problems.append(f"({l2},{m2}) expected {ref}, got {cell.status}")
-                continue
-            worst = max(worst, abs(cell.value - ref) / abs(ref))
-        for (l2, m2) in REFERENCE_UNDEFINED.get(l1, []):
-            if table.cell(l2, m2).status != "undefined":
-                problems.append(f"({l2},{m2}) should be undefined")
-        verdict = "ok" if worst <= REFERENCE_TOLERANCE and not problems else "MISMATCH"
-        if verdict != "ok":
+        result = SuiteResult("table", l1)
+        check_reference_table(result, l1)
+        verdict = "ok" if result.ok else "MISMATCH"
+        if not result.ok:
             status = 1
-        print(f"l1={l1}: worst relative deviation {worst:.2e} ({verdict}) -> {path}")
-        for message in problems:
+        print(f"l1={l1}: worst relative deviation {result.max_deviation:.2e} ({verdict}) -> {path}")
+        for message in result.failures:
             print(f"  {message}")
     return status
 

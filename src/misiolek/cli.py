@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -71,6 +72,17 @@ def _mc_record(request: dict, report: MCReport, verbose: bool) -> dict:
 
 def _emit(record: dict, stream) -> None:
     stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
 
 
 def _harmonic(parser: argparse.ArgumentParser, l: int, m: int, what: str) -> HarmonicIndex:
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Misiolek criterion, flat or rotating")
     p.add_argument("--a", nargs=2, type=int, required=True, metavar=("L1", "M1"))
     p.add_argument("--b", nargs=2, type=int, required=True, metavar=("L2", "M2"))
-    p.add_argument("--rotation", type=float, default=None, help="Coriolis rotation rate")
+    p.add_argument("--rotation", type=_finite_float, default=None, help="Coriolis rotation rate")
     p.add_argument("--verbose", action="store_true", help="include per-degree summands")
     p.set_defaults(func=cmd_mc)
 
@@ -256,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rhw", help="Rossby-Haurwitz wave criterion and thresholds")
     p.add_argument("--wave", nargs=2, type=int, required=True, metavar=("L1", "M1"))
-    p.add_argument("--A", nargs=2, type=float, default=(0.0, 0.0), metavar=("RE", "IM"))
-    p.add_argument("--C", type=float, default=1.0, help="zonal coefficient")
-    p.add_argument("--K", type=float, default=0.0, help="rotation rate is a = -K*C")
+    p.add_argument("--A", nargs=2, type=_finite_float, default=(0.0, 0.0), metavar=("RE", "IM"))
+    p.add_argument("--C", type=_finite_float, default=1.0, help="zonal coefficient")
+    p.add_argument("--K", type=_finite_float, default=0.0, help="rotation rate is a = -K*C")
     p.add_argument("--probe", nargs=2, type=int, default=None, metavar=("L2", "M2"))
     p.add_argument("--threshold", type=int, default=None, metavar="M",
                    help="print the |A|^2/C^2 positivity threshold for probe e_{M -M}")

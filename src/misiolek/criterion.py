@@ -425,6 +425,8 @@ def rhw_threshold(l1: int, m1: int, m: int, K: float = 0.0) -> float:
     """
     if not 2 <= m <= m1 <= l1:
         raise ValueError("requires 2 <= m <= m1 <= l1")
+    if not math.isfinite(K):
+        raise ValueError("requires a finite K")
     if K < 0:
         raise ValueError("requires K >= 0")
     flat = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
@@ -446,28 +448,27 @@ def harmonic_velocity_norm(idx: HarmonicIndex) -> float:
     return math.sqrt(_turn(idx.l))
 
 
-def _probe_g_squared(l1: int, m1: int, m: int, l3: int) -> Fraction:
-    return g_real(l1, m1, m, -m, l3, m - m1).square()
-
-
-def positivity_chain(l1: int, m1: int, m: int) -> List[Fraction]:
+def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fraction]:
     """Paired-summand ratios whose chain 1 < r_0 < r_1 < ... proves positivity.
 
-    For even probe order m the pairs sit at l3 = l1 -+ (2k+1); for odd m at
-    l3 = l1 -+ 2k with k >= 1.  Entries are exact rationals (pi cancels);
-    ratios with a vanishing denominator are skipped.
+    ``summands`` are those of MC(e_{l1 m1}, e_{m -m}).  For even probe order
+    m the pairs sit at l3 = l1 -+ (2k+1); for odd m at l3 = l1 -+ 2k with
+    k >= 1.  Each ratio is the l3 = l1 - off contribution over minus the
+    l3 = l1 + off one, an exact rational (pi cancels); ratios with a
+    vanishing denominator are skipped.
     """
+    by_l3 = {s.l3: s for s in summands}
     ratios: List[Fraction] = []
     if m % 2 == 0:
         offsets = [2 * k + 1 for k in range((m - 2) // 2 + 1)]
     else:
         offsets = [2 * k for k in range(1, (m - 1) // 2 + 1)]
     for off in offsets:
-        num = _probe_g_squared(l1, m1, m, l1 - off) * (_turn(l1) - _turn(l1 - off))
-        den = _probe_g_squared(l1, m1, m, l1 + off) * (_turn(l1 + off) - _turn(l1))
-        if den == 0:
+        high = by_l3.get(l1 + off)
+        if high is None:
             continue
-        ratios.append(num / den)
+        low = by_l3.get(l1 - off)
+        ratios.append(low.contribution_over_pi / -high.contribution_over_pi if low else Fraction(0))
     return ratios
 
 
@@ -507,7 +508,7 @@ def theorem_scan(l_max: int) -> TheoremScan:
                 scan.checked_pairs += 1
                 if _sign(report.flat_over_pi) <= 0:
                     scan.failures.append(f"MC(e_{{{l1} {m1}}}, e_{{{m} {-m}}}) not positive")
-                chain = positivity_chain(l1, m1, m)
+                chain = positivity_chain(l1, m, report.summands)
                 scan.checked_chains += len(chain)
                 if any(r <= 1 for r in chain):
                     scan.failures.append(f"positivity chain not > 1 for ({l1},{m1},{m})")

@@ -2,7 +2,9 @@
 
 Each suite sweeps one family of exact identities (or oracle comparisons) up
 to a degree cap and reports check/failure counts; exact identities tolerate
-nothing, oracle-backed ones report their worst deviation.
+nothing, oracle-backed ones report their worst deviation.  The wigner and
+table suites are made of ``check_*`` blocks that add to a given
+``SuiteResult``; the acceptance tests and scripts call these blocks too.
 """
 
 from __future__ import annotations
@@ -78,10 +80,8 @@ class SuiteResult:
         return out
 
 
-def wigner_suite(l_max: int = 12) -> SuiteResult:
-    """Closed forms against the Racah path, symmetries, and orthogonality."""
-    suite_cap("wigner", l_max)
-    res = SuiteResult("wigner", l_max)
+def check_stretched_forms(res: SuiteResult, l_max: int) -> None:
+    """Stretched closed form (l1 m l3; m1 -m m-m1) against the Racah path."""
     for l1 in range(l_max + 1):
         for m in range(l_max + 1):
             for l3 in range(abs(l1 - m), min(l1 + m, l_max) + 1):
@@ -91,20 +91,29 @@ def wigner_suite(l_max: int = 12) -> SuiteResult:
                     res.checks += 1
                     if threej_closed_stretched(l1, m, l3, m1) != threej_lm(l1, m, l3, m1, -m, m - m1):
                         res.fail(f"stretched closed form off at ({l1},{m},{l3},{m1})")
+
+
+def check_order_one_forms(res: SuiteResult, l_max: int) -> None:
+    """(1 -1 0) closed form and, inside its domain, (1 1 -2) recursion against the Racah path."""
     for l1 in range(1, l_max + 1):
         for l2 in range(1, l_max + 1):
             for l3 in range(abs(l1 - l2), min(l1 + l2, l_max) + 1):
                 if (l1 + l2 + l3) % 2 == 0:
                     continue
-                res.checks += 2
+                res.checks += 1
                 if threej_closed_110(l1, l2, l3) != threej_lm(l1, l2, l3, 1, -1, 0):
                     res.fail(f"(1 -1 0) closed form off at ({l1},{l2},{l3})")
                 try:
                     recursive = threej_recursive_112(l1, l2, l3)
                 except ClosedFormDomainError:
                     continue
+                res.checks += 1
                 if recursive != threej_lm(l1, l2, l3, 1, 1, -2):
                     res.fail(f"(1 1 -2) recursion off at ({l1},{l2},{l3})")
+
+
+def check_threej_symmetries(res: SuiteResult, l_max: int) -> None:
+    """Column swap and order negation, two checks per 3j tuple."""
     for l1 in range(l_max + 1):
         for l2 in range(l_max + 1):
             for l3 in range(abs(l1 - l2), min(l1 + l2, l_max) + 1):
@@ -122,6 +131,10 @@ def wigner_suite(l_max: int = 12) -> SuiteResult:
                         negated = threej_lm(l1, l2, l3, -m1, -m2, -m3)
                         if negated != base.scale(sign):
                             res.fail(f"order negation off at ({l1},{l2},{l3},{m1},{m2})")
+
+
+def check_orthogonality(res: SuiteResult, l_max: int) -> None:
+    """Sum over m1 of the squared symbols times (2 l3 + 1) is 1; degrees stop at 8."""
     for l3 in range(min(l_max, 8) + 1):
         for m3 in range(-l3, l3 + 1):
             for l1 in range(min(l_max, 8) + 1):
@@ -135,6 +148,15 @@ def wigner_suite(l_max: int = 12) -> SuiteResult:
                     res.checks += 1
                     if total * (2 * l3 + 1) != 1:
                         res.fail(f"orthogonality off at ({l1},{l2},{l3},{m3})")
+
+
+def wigner_suite(l_max: int = 12) -> SuiteResult:
+    """Closed forms against the Racah path, symmetries, and orthogonality."""
+    suite_cap("wigner", l_max)
+    res = SuiteResult("wigner", l_max)
+    for block in (check_stretched_forms, check_order_one_forms, check_threej_symmetries,
+                  check_orthogonality):
+        block(res, l_max)
     return res
 
 
@@ -238,37 +260,40 @@ def theorem_suite(l_max: int = 12) -> SuiteResult:
     return res
 
 
+def check_reference_table(res: SuiteResult, l1: int) -> None:
+    """Critical ratios of zonal flow l1, on the reference's own grid, against the reference."""
+    table = critical_table(l1, l2_max=6)
+    for (l2, m2), ref in REFERENCE_RATIOS[l1].items():
+        cell = table.cell(l2, m2)
+        res.checks += 1
+        if not cell.defined:
+            res.fail(f"l1={l1} cell ({l2},{m2}) unexpectedly {cell.status}")
+            continue
+        rel = abs(cell.value - ref) / abs(ref)
+        res.max_deviation = max(res.max_deviation or 0.0, rel)
+        if rel > REFERENCE_TOLERANCE:
+            res.fail(f"l1={l1} cell ({l2},{m2}) off: {cell.value:.6g} vs {ref}")
+        if (cell.direction == ">") != (ref > 0):
+            res.fail(f"l1={l1} cell ({l2},{m2}) direction {cell.direction} vs sign of {ref}")
+        # Scaling the ratio by (1 +- eps) moves the rate into/out of the
+        # conjugate-point region whichever the inequality direction, since
+        # MC_hat(ratio*(1 +- eps)) = -+ MC*eps and the zonal MC is <= 0.
+        inside = mc_coriolis(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2), cell.value * (1 + 1e-6))
+        outside = mc_coriolis(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2), cell.value * (1 - 1e-6))
+        res.checks += 1
+        if not (inside.value_float > 0 > outside.value_float):
+            res.fail(f"l1={l1} cell ({l2},{m2}) boundary sign pattern wrong")
+    for (l2, m2) in REFERENCE_UNDEFINED[l1]:
+        res.checks += 1
+        if table.cell(l2, m2).status != "undefined":
+            res.fail(f"l1={l1} cell ({l2},{m2}) should be undefined")
+
+
 def table_suite() -> SuiteResult:
     """Critical-ratio tables against the frozen reference values."""
     res = SuiteResult("table", 7)
-    worst = 0.0
-    for l1, expected in REFERENCE_RATIOS.items():
-        table = critical_table(l1, l2_max=6)
-        for (l2, m2), ref in expected.items():
-            cell = table.cell(l2, m2)
-            res.checks += 1
-            if not cell.defined:
-                res.fail(f"l1={l1} cell ({l2},{m2}) unexpectedly {cell.status}")
-                continue
-            rel = abs(cell.value - ref) / abs(ref)
-            worst = max(worst, rel)
-            if rel > REFERENCE_TOLERANCE:
-                res.fail(f"l1={l1} cell ({l2},{m2}) off: {cell.value:.6g} vs {ref}")
-            if (cell.direction == ">") != (ref > 0):
-                res.fail(f"l1={l1} cell ({l2},{m2}) direction {cell.direction} vs sign of {ref}")
-            # Scaling the ratio by (1 +- eps) moves the rate into/out of the
-            # conjugate-point region whichever the inequality direction, since
-            # MC_hat(ratio*(1 +- eps)) = -+ MC*eps and the zonal MC is <= 0.
-            inside = mc_coriolis(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2), cell.value * (1 + 1e-6))
-            outside = mc_coriolis(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2), cell.value * (1 - 1e-6))
-            res.checks += 1
-            if not (inside.value_float > 0 > outside.value_float):
-                res.fail(f"l1={l1} cell ({l2},{m2}) boundary sign pattern wrong")
-        for (l2, m2) in REFERENCE_UNDEFINED[l1]:
-            res.checks += 1
-            if table.cell(l2, m2).status != "undefined":
-                res.fail(f"l1={l1} cell ({l2},{m2}) should be undefined")
-    res.max_deviation = worst
+    for l1 in REFERENCE_RATIOS:
+        check_reference_table(res, l1)
     return res
 
 

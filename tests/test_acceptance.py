@@ -18,14 +18,14 @@ from misiolek.criterion import (
     theorem_scan,
 )
 from misiolek.oracle import QuadratureGrid, poisson_bracket
-from misiolek.reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE, REFERENCE_UNDEFINED
+from misiolek.reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE
 from misiolek.structure import HarmonicIndex as H, bracket_expand, validate_symmetries
-from misiolek.wigner import (
-    ClosedFormDomainError,
-    threej_closed_110,
-    threej_closed_stretched,
-    threej_lm,
-    threej_recursive_112,
+from misiolek.suites import (
+    SuiteResult,
+    check_order_one_forms,
+    check_stretched_forms,
+    check_threej_symmetries,
+    table_suite,
 )
 
 
@@ -35,25 +35,21 @@ def _report(number, text):
 
 def test_criterion_1_reference_table_reproduction():
     started = time.perf_counter()
-    checked = 0
+    result = table_suite()
+    assert result.ok, result.failures[:3]
+    assert result.checks == 89
+    # Value signs and not-applicable cells are the checks table_suite does not make.
     for l1, expected in REFERENCE_RATIOS.items():
-        table = critical_table(l1, l2_max=6)
-        for (l2, m2), ref in expected.items():
-            cell = table.cell(l2, m2)
-            assert cell.defined, (l1, l2, m2)
-            assert abs(cell.value - ref) / abs(ref) <= REFERENCE_TOLERANCE, (l1, l2, m2, cell.value, ref)
-            assert (cell.value < 0) == (ref < 0), (l1, l2, m2)
-            assert cell.direction == (">" if ref > 0 else "<"), (l1, l2, m2)
-            checked += 1
-        for (l2, m2) in REFERENCE_UNDEFINED[l1]:
-            assert table.cell(l2, m2).status == "undefined", (l1, l2, m2)
-        for cell in table.cells:
+        for cell in critical_table(l1, l2_max=6).cells:
             if cell.m2 > cell.l2:
-                assert cell.status == "not-applicable"
+                assert cell.status == "not-applicable", (l1, cell)
+            elif (cell.l2, cell.m2) in expected:
+                assert (cell.value < 0) == (expected[cell.l2, cell.m2] < 0), (l1, cell)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"table reproduction took {elapsed:.1f}s"
-    _report(1, f"{checked} finite reference cells within {REFERENCE_TOLERANCE} rel, "
-               f"signs/directions/undefined all match ({elapsed:.2f}s)")
+    _report(1, f"{result.checks} reference-table checks within {REFERENCE_TOLERANCE} rel "
+               f"(worst {result.max_deviation:.2e}), signs/directions/boundaries/undefined "
+               f"all match ({elapsed:.2f}s)")
 
 
 def test_criterion_2_theorem_positivity_sweep():
@@ -110,68 +106,38 @@ def test_criterion_4_oracle_equivalence():
 
 def test_criterion_5_closed_form_consistency():
     cap = 20
-    checked = 0
-    for l1 in range(cap + 1):
-        for m in range(cap + 1):
-            for l3 in range(abs(l1 - m), min(l1 + m, cap) + 1):
-                for m1 in range(-l1, l1 + 1):
-                    if abs(m - m1) > l3:
-                        continue
-                    assert threej_closed_stretched(l1, m, l3, m1) == threej_lm(l1, m, l3, m1, -m, m - m1), (l1, m, l3, m1)
-                    checked += 1
-    for l1 in range(1, cap + 1):
-        for l2 in range(1, cap + 1):
-            for l3 in range(abs(l1 - l2), min(l1 + l2, cap) + 1):
-                if (l1 + l2 + l3) % 2 == 0:
-                    continue
-                assert threej_closed_110(l1, l2, l3) == threej_lm(l1, l2, l3, 1, -1, 0), (l1, l2, l3)
-                checked += 1
-                try:
-                    value = threej_recursive_112(l1, l2, l3)
-                except ClosedFormDomainError:
-                    continue
-                assert value == threej_lm(l1, l2, l3, 1, 1, -2), (l1, l2, l3)
-                checked += 1
-    _report(5, f"{checked} closed-form evaluations equal the Racah path exactly up to degree {cap}")
+    result = SuiteResult("wigner", cap)
+    check_stretched_forms(result, cap)
+    check_order_one_forms(result, cap)
+    assert result.ok, result.failures[:3]
+    assert result.checks == 63426
+    _report(5, f"{result.checks} closed-form evaluations equal the Racah path exactly up to degree {cap}")
 
 
 def test_criterion_6_symmetry_suite():
     report = validate_symmetries(10)
     assert report.ok, report.failures[:3]
-    checked_3j = 0
-    for l1 in range(11):
-        for l2 in range(11):
-            for l3 in range(abs(l1 - l2), min(l1 + l2, 10) + 1):
-                sign = 1 if (l1 + l2 + l3) % 2 == 0 else -1
-                for m1 in range(-l1, l1 + 1):
-                    for m2 in range(-l2, l2 + 1):
-                        m3 = -(m1 + m2)
-                        if abs(m3) > l3:
-                            continue
-                        base = threej_lm(l1, l2, l3, m1, m2, m3)
-                        assert threej_lm(l2, l1, l3, m2, m1, m3) == base.scale(sign)
-                        assert threej_lm(l1, l2, l3, -m1, -m2, -m3) == base.scale(sign)
-                        checked_3j += 1
+    assert report.checks == 88913
+    result = SuiteResult("wigner", 10)
+    check_threej_symmetries(result, 10)
+    assert result.ok, result.failures[:3]
+    assert result.checks == 145618
     _report(6, f"{report.checks} structure-constant identity tuples and "
-               f"{checked_3j} 3j symmetry tuples hold exactly up to degree 10")
+               f"{result.checks} 3j column-swap and order-negation checks hold exactly "
+               f"up to degree 10")
 
 
 def test_criterion_7_coriolis_affinity_and_boundary():
     for l1, expected in REFERENCE_RATIOS.items():
-        table = critical_table(l1, l2_max=6)
         for (l2, m2) in expected:
-            cell = table.cell(l2, m2)
             reports = [mc_coriolis(H(l1, 0), H(l2, m2), a) for a in (0, 1, 2)]
             slope = reports[0].coriolis_slope
             assert all(r.coriolis_slope == slope for r in reports)
             assert reports[1].value.root_over_sqrt_pi == slope.root_over_sqrt_pi
             assert reports[2].value.root_over_sqrt_pi == slope.scale(2).root_over_sqrt_pi
             assert len({(r.value.rational, r.value.over_pi) for r in reports}) == 1
-            inside = mc_coriolis(H(l1, 0), H(l2, m2), cell.value * (1 + 1e-6)).value_float
-            outside = mc_coriolis(H(l1, 0), H(l2, m2), cell.value * (1 - 1e-6)).value_float
-            assert inside > 0 > outside, (l1, l2, m2, inside, outside)
-    _report(7, "rotation dependence is exactly affine and the critical-rate "
-               "boundary separates signs at 1e-6 offsets for every defined cell")
+    _report(7, "rotation dependence is exactly affine for every reference cell; "
+               "table_suite (criterion 1) checks the boundary sign flips at 1e-6 offsets")
 
 
 def test_criterion_8_rhw_identities():

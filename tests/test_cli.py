@@ -99,6 +99,22 @@ def test_rhw_zero_amplitude_record(capsys):
     assert code == 0 and record["float"] == -72.0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "nan"), "--K"),
+    (("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "inf"), "--K"),
+    (("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "nan"), "--rotation"),
+    (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--C", "inf"), "--C"),
+    (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--A", "nan", "0"), "--A"),
+])
+def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
+    assert run_cli_expect_usage_error(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}: must be finite" in errors[0]
+
+
 def test_critical_table_csv(capsys, tmp_path):
     code, out = run_cli(capsys, "critical-table", "--l1", "3", "--l2-max", "5", "--format", "csv")
     assert code == 0

@@ -285,6 +285,12 @@ def test_rhw_threshold_properties():
         rhw_threshold(3, 4, 2)
 
 
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+def test_rhw_threshold_rejects_non_finite_K(K):
+    with pytest.raises(ValueError, match="finite K"):
+        rhw_threshold(3, 2, 2, K=K)
+
+
 @pytest.mark.parametrize("l1,m1,m", [(3, 2, 2), (5, 3, 2), (5, 3, 3)])
 def test_rhw_threshold_separates_signs(l1, m1, m):
     for K in (0.0, 1.0):
@@ -313,7 +319,7 @@ def test_harmonic_velocity_norm():
 
 def test_positivity_chain_monotone_instances():
     for l1, m1, m in ((4, 4, 4), (5, 4, 4), (6, 5, 5), (7, 6, 4)):
-        chain = positivity_chain(l1, m1, m)
+        chain = positivity_chain(l1, m, mc_flat(H(l1, m1), H(m, -m)).summands)
         assert chain, (l1, m1, m)
         assert all(r > 1 for r in chain)
         assert all(b > a for a, b in zip(chain, chain[1:]))

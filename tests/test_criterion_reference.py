@@ -4,7 +4,9 @@
 over one denominator and skips the Coriolis arithmetic when there is no
 rotation or no slope.  The references below are the earlier evaluation in
 ``Fraction`` and ``MCValue`` arithmetic, and every report field must agree
-exactly, in value and in type, summands included.
+exactly, in value and in type, summands included.  ``positivity_chain``
+reads the pair's summands; its reference recomputes each g^2 through
+``g_real``.
 """
 
 import pickle
@@ -21,6 +23,7 @@ from misiolek.criterion import (
     mc_combination,
     mc_coriolis,
     mc_flat,
+    positivity_chain,
     rhw_mc,
 )
 from misiolek.structure import HarmonicIndex, g_real
@@ -179,3 +182,35 @@ def test_mc_summand_reduced_is_lowest_terms():
     assert hash(s) == hash(MCSummand(3, 2, 3, -4))
     zero = MCSummand.reduced(5, 0, 7, 2)
     assert (zero.num, zero.den) == (0, 1) and zero.g_squared_over_pi == 0
+
+
+def reference_positivity_chain(l1, m1, m):
+    """Proof-chain ratios with each g^2 recomputed through ``g_real``."""
+    def g_squared(l3):
+        return g_real(l1, m1, m, -m, l3, m - m1).square()
+
+    ratios = []
+    if m % 2 == 0:
+        offsets = [2 * k + 1 for k in range((m - 2) // 2 + 1)]
+    else:
+        offsets = [2 * k for k in range(1, (m - 1) // 2 + 1)]
+    for off in offsets:
+        num = g_squared(l1 - off) * (_turn(l1) - _turn(l1 - off))
+        den = g_squared(l1 + off) * (_turn(l1 + off) - _turn(l1))
+        if den == 0:
+            continue
+        ratios.append(num / den)
+    return ratios
+
+
+def test_positivity_chain_equals_g_real_reference():
+    chains = 0
+    for l1 in range(2, 13):
+        for m1 in range(2, l1 + 1):
+            for m in range(2, m1 + 1):
+                summands = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m)).summands
+                got = positivity_chain(l1, m, summands)
+                assert got == reference_positivity_chain(l1, m1, m), (l1, m1, m)
+                assert all(type(r) is Fraction for r in got), (l1, m1, m)
+                chains += len(got)
+    assert chains == 581

@@ -1,0 +1,38 @@
+"""Runnable scripts, run as a user would: a fresh process in a scratch directory."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+from misiolek.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_make_critical_tables_writes_the_cli_tables(tmp_path, capsys):
+    done = run_script("make_critical_tables.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    for l1 in (3, 5, 7):
+        assert f"l1={l1}: worst relative deviation" in done.stdout
+        assert main(["critical-table", "--l1", str(l1), "--format", "csv"]) == 0
+        expected = capsys.readouterr().out
+        assert (tmp_path / "tables" / f"critical_ratios_l1_{l1}.csv").read_text() == expected
+    assert done.stdout.count("(ok)") == 3
+
+
+def test_make_critical_tables_small_grid_still_checks_references(tmp_path):
+    # The reference cells reach l2 = 6; the check reads its own grid, not the CSV's.
+    done = run_script("make_critical_tables.py", "--l2-max", "4", "--outdir", "small", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    verdicts = [line for line in done.stdout.splitlines() if "worst relative deviation" in line]
+    assert [line.split(":")[0] for line in verdicts] == ["l1=3", "l1=5", "l1=7"]
+    assert all("(ok)" in line for line in verdicts)
+    header, *rows = (tmp_path / "small" / "critical_ratios_l1_3.csv").read_text().splitlines()
+    assert header == "l2,m2,ratio,direction,status" and len(rows) == 16

@@ -6,6 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from misiolek.exact import SignedSqrtRational, factorial
+from misiolek.suites import (
+    SuiteResult,
+    check_order_one_forms,
+    check_orthogonality,
+    check_stretched_forms,
+    check_threej_symmetries,
+    wigner_suite,
+)
 from misiolek.wigner import (
     ClosedFormDomainError,
     clebsch_gordan,
@@ -201,3 +209,22 @@ def test_zero_outside_selection_rules_property(l1, l2, l3, m1, m2):
     )
     if violated:
         assert threej_lm(l1, l2, l3, m1, m2, m3).is_zero()
+
+
+def _block_checks(block, l_max):
+    result = SuiteResult("wigner", l_max)
+    block(result, l_max)
+    assert result.ok, result.failures[:3]
+    return result.checks
+
+
+def test_wigner_suite_counts_each_block_once_per_check_run():
+    blocks = (check_stretched_forms, check_order_one_forms, check_threej_symmetries,
+              check_orthogonality)
+    assert [_block_checks(block, 4) for block in blocks] == [220, 42, 2878, 525]
+    assert wigner_suite(4).checks == 220 + 42 + 2878 + 525
+    assert _block_checks(check_stretched_forms, 12) == 8918
+    # 489 (1 -1 0) checks and 477 (1 1 -2) ones: the recursion raises
+    # ClosedFormDomainError at l3 = 1 (l1 = l2), so those 12 are not run.
+    assert _block_checks(check_order_one_forms, 12) == 489 + 477
+    assert _block_checks(check_orthogonality, 12) == 3861
