@@ -3,7 +3,8 @@
 Every computation is a pure function of its flags; output is JSON records
 one per line (or CSV for tables), with exact values serialized losslessly
 as sign/rational/pi-exponent terms and floats in shortest round-trip form.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a flag out of
+its domain, or a finite flag whose result overflows a float).
 """
 
 from __future__ import annotations
@@ -283,7 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except OverflowError:
+        # The exact value is fine but its float is not; the exception text can
+        # carry a radicand thousands of digits long, so it is not echoed.
+        parser.error(f"{args.command}: the result exceeds the float range")
 
 
 if __name__ == "__main__":

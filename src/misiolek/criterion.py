@@ -421,7 +421,8 @@ def rhw_threshold(l1: int, m1: int, m: int, K: float = 0.0) -> float:
     """Minimal |A|^2/C^2 making the wave criterion positive at rate a = -K*C.
 
     Equals m^2 (m(m+1) - 2 - K) / MC(e_{l1 m1}, e_{m -m}); the hypothesis
-    2 <= m <= m1 <= l1 keeps the denominator positive.
+    2 <= m <= m1 <= l1 keeps the denominator positive.  A finite K whose
+    threshold overflows a float raises OverflowError.
     """
     if not 2 <= m <= m1 <= l1:
         raise ValueError("requires 2 <= m <= m1 <= l1")
@@ -433,7 +434,10 @@ def rhw_threshold(l1: int, m1: int, m: int, K: float = 0.0) -> float:
     denom = float(flat.flat_over_pi) / math.pi
     if denom <= 0:
         raise CriterionDefect(f"criterion not positive for ({l1},{m1}) vs ({m},{-m})")
-    return m * m * (_turn(m) - 2 - K) / denom
+    threshold = m * m * (_turn(m) - 2 - K) / denom
+    if not math.isfinite(threshold):
+        raise OverflowError(f"threshold for K={K!r} exceeds double range")
+    return threshold
 
 
 def conjugate_time(kappa: float, v_norm: float) -> float:

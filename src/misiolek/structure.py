@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import Iterator, List, Tuple
 
 from .exact import SignedSqrtRational
-from .wigner import _parity, threej_band, threej_lm
+from .wigner import _parity, _racah_sum, threej_band, threej_lm
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,10 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
             or not abs(l1 - l2) < l3 < l1 + l2
             or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
         return _ZERO
-    a = threej_lm(l1, l2, l3, m1, m2, m3)
+    # The clause above holds every rule threej_lm checks.  The m-symbol is
+    # read once per sweep, so it skips the Racah cache; the (1 -1 0) symbol
+    # is shared by every order pair of the degree triple, so it goes through.
+    a = _racah_sum(l1, l2, l3, m1, m2, m3)
     b = threej_lm(l1, l2, l3, 1, -1, 0)
     # -1/sqrt(4) * L123 * a * b as one radicand.
     return SignedSqrtRational._reduce(

@@ -2,10 +2,14 @@
 
 The general path evaluates the Racah alternating sum in integer arithmetic
 over one common denominator and only then splits off the square root, so
-cancellations are exact; it is the single-symbol path.  A whole band of
-symbols over the third degree comes from one integer three-term recurrence
-instead.  Two closed forms and one recursion are kept as separate
-operations: they are cross-validation targets, not fast paths.
+cancellations are exact; it is the single-symbol path.  ``_racah_sum`` is
+that sum uncached, for a symbol that is read once (the m-symbol of
+``structure.g_real``); ``_racah`` is the same function behind an unbounded
+cache, which ``threej_lm`` reads, for symbols that repeat, such as the
+(l1 l2 l3; 1 -1 0) symbol shared by every order pair of a degree triple.
+A whole band of symbols over the third degree comes from one integer
+three-term recurrence instead.  Two closed forms and one recursion are kept
+as separate operations: they are cross-validation targets, not fast paths.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ def _parity(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
+def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
     """Racah single-sum evaluation; assumes selection rules already hold.
 
     The term of index t is (-1)^t / D(t), with D(t) the product of the
@@ -68,6 +71,9 @@ def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRa
         * factorial(l3 + m3) * factorial(l3 - m3)
     )
     return SignedSqrtRational._reduce(sign, num, common * common * factorial(l1 + l2 + l3 + 1))
+
+
+_racah = lru_cache(maxsize=None)(_racah_sum)
 
 
 def threej_band(l1: int, l2: int, m1: int, m2: int, j_low: int) -> Iterator[Tuple[int, int, int, int]]:

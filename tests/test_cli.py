@@ -115,6 +115,29 @@ def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
     assert len(errors) == 1 and f"argument {flag}: must be finite" in errors[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e308"),
+    ("rhw", "--A", "1e200", "0", "--wave", "3", "2", "--probe", "3", "2"),
+    ("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "1e308"),
+])
+def test_finite_flag_with_overflowing_result_is_usage_error(capsys, argv):
+    # The flags are finite, but the float of the result is not.
+    assert run_cli_expect_usage_error(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("the result exceeds the float range")
+    assert len(captured.err) < 300  # no radicand echoed
+
+
+def test_large_finite_rotation_with_finite_result_is_a_record(capsys):
+    code, out = run_cli(capsys, "mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e300")
+    assert code == 0
+    record = json.loads(out)
+    assert record["status"] == "ok" and math.isfinite(record["float"])
+
+
 def test_critical_table_csv(capsys, tmp_path):
     code, out = run_cli(capsys, "critical-table", "--l1", "3", "--l2-max", "5", "--format", "csv")
     assert code == 0

@@ -283,6 +283,9 @@ def test_rhw_threshold_properties():
         rhw_threshold(3, 2, 1)
     with pytest.raises(ValueError):
         rhw_threshold(3, 4, 2)
+    # A finite K whose threshold leaves the float range raises, never -inf.
+    with pytest.raises(OverflowError):
+        rhw_threshold(3, 2, 2, K=1e308)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])

@@ -36,3 +36,20 @@ def test_make_critical_tables_small_grid_still_checks_references(tmp_path):
     assert all("(ok)" in line for line in verdicts)
     header, *rows = (tmp_path / "small" / "critical_ratios_l1_3.csv").read_text().splitlines()
     assert header == "l2,m2,ratio,direction,status" and len(rows) == 16
+
+
+def test_sweep_positivity_holds_and_caches_one_symbol_per_degree_triple(tmp_path):
+    done = run_script("sweep_positivity.py", "--lmax", "10", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "all asserted positivity and nonpositivity statements hold exactly" in done.stdout
+    # Only the (l1 l2 l3; 1 -1 0) symbols stay cached: 565 degree triples at lmax 10.
+    assert done.stderr.startswith("racah cache entries: 565, peak RSS: ")
+
+
+def test_wave_stability_prints_one_row_per_default_wave(tmp_path):
+    done = run_script("wave_stability.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.startswith("l1 m1 m K=0 ")
+    assert [row.split()[:3] for row in rows] == [
+        ["3", "2", "2"], ["5", "3", "2"], ["5", "3", "3"], ["7", "5", "4"]]

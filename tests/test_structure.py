@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import misiolek.structure
 import misiolek.suites
-from misiolek.criterion import mc_flat
+from misiolek.criterion import mc_flat, theorem_scan
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
     BracketExpansion,
@@ -23,6 +23,7 @@ from misiolek.structure import (
     validate_symmetries,
 )
 from misiolek.suites import structure_suite
+from misiolek.wigner import _racah, threej_lm
 
 SSR = SignedSqrtRational
 
@@ -91,13 +92,30 @@ def test_g_real_order_sum_selection():
 def test_g_real_zonal_pairs_commute_without_racah(monkeypatch):
     # {Y_{l1 0}, Y_{l2 0}} = 0: the selection rules return zero before any 3j symbol
     def no_threej(*args):
-        raise AssertionError(f"threej_lm{args} called for a zonal pair")
+        raise AssertionError(f"3j symbol {args} computed for a zonal pair")
 
     monkeypatch.setattr(misiolek.structure, "threej_lm", no_threej)
+    monkeypatch.setattr(misiolek.structure, "_racah_sum", no_threej)
     for l1 in range(13):
         for l2 in range(13):
             for l3 in range(13):
                 assert g_real(l1, 0, l2, 0, l3, 0) == SSR.zero()
+
+
+def test_g_real_caches_only_the_shared_order_symbol():
+    # The m-symbol of g is read once, the (l1 l2 l3; 1 -1 0) symbol by every
+    # order pair of the degree triple: only the latter enters the Racah cache.
+    _racah.cache_clear()
+    g_real(5, 2, 4, -3, 6, 1)
+    g_real(5, -1, 4, 2, 6, -1)
+    info = _racah.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    threej_lm(5, 4, 6, 1, -1, 0)  # a hit: the one entry is (5 4 6; 1 -1 0)
+    assert _racah.cache_info().hits == 2
+    # A cold theorem scan to degree 10 keeps one entry per degree triple it uses.
+    _racah.cache_clear()
+    theorem_scan(10)
+    assert _racah.cache_info().currsize == 565
 
 
 def test_bracket_with_rotation_generator():
