@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Exact positivity sweep of the conjugate-point criterion.
 
-Scans MC(e_{l1 m1}, e_{m -m}) for 1 < m1 <= l1 and 2 <= m <= m1 plus the
-order-one family MC(e_{l1 1}, e_{l2 1}), checks the monotone proof chains,
-and reports how the conjectured extension 2 <= m <= 2 m1 - 2 fares.
-After the summary, one line on stderr gives the number of cached Racah sums
-and the peak resident set size of the run.
+Runs the theorem's three check blocks: MC(e_{l1 m1}, e_{m -m}) > 0 for
+1 < m1 <= l1 and 2 <= m <= m1 with its monotone proof chains, the order-one
+family MC(e_{l1 1}, e_{l2 1}) > 0, and the nonpositivity of every zonal
+criterion.  Then reports how the conjectured extension 2 <= m <= 2 m1 - 2
+fares, without asserting it.  After the summary, one line on stderr gives
+the number of cached Racah sums and the peak resident set size of the run.
 """
 
 import argparse
@@ -13,7 +14,13 @@ import resource
 import sys
 import time
 
-from misiolek.criterion import mc_flat, theorem_scan
+from misiolek.checks import SuiteResult
+from misiolek.criterion import (
+    check_order_one_positivity,
+    check_probe_positivity,
+    check_zonal_nonpositivity,
+    mc_flat,
+)
 from misiolek.structure import HarmonicIndex
 from misiolek.wigner import _racah
 
@@ -29,22 +36,32 @@ def main() -> int:
     parser.add_argument("--show", type=int, default=3,
                         help="print the summand decomposition of this many sample pairs")
     args = parser.parse_args()
+    if args.lmax < 3:
+        parser.error("--lmax must be >= 3")
 
     started = time.perf_counter()
-    scan = theorem_scan(args.lmax)
+    probe, order_one, zonal = (SuiteResult("theorem", args.lmax) for _ in range(3))
+    check_probe_positivity(probe, args.lmax)
+    check_order_one_positivity(order_one, args.lmax)
+    check_zonal_nonpositivity(zonal, args.lmax)
     elapsed = time.perf_counter() - started
-    print(f"lmax={args.lmax}: {scan.checked_pairs} wave-probe pairs, "
-          f"{scan.checked_wave_pairs} order-one pairs, {scan.checked_zonal} zonal pairs, "
-          f"{scan.checked_chains} chain ratios in {elapsed:.1f}s")
-    if scan.failures:
-        for failure in scan.failures:
+    print(f"lmax={args.lmax}: {probe.checks} wave-probe pair and chain-ratio checks, "
+          f"{order_one.checks} order-one pairs, {zonal.checks} zonal pairs in {elapsed:.1f}s")
+    failures = probe.failures + order_one.failures + zonal.failures
+    if failures:
+        for failure in failures:
             print(f"FALSIFIED: {failure}")
         print(_resources(), file=sys.stderr)
         return 1
     print("all asserted positivity and nonpositivity statements hold exactly")
-    print(f"extended range 2 <= m <= 2 m1 - 2: {scan.extended_checked} extra pairs checked, "
-          f"{len(scan.extended_nonpositive)} nonpositive")
-    for tup in scan.extended_nonpositive:
+
+    extended = [(l1, m1, m) for l1 in range(2, args.lmax + 1) for m1 in range(2, l1 + 1)
+                for m in range(m1 + 1, 2 * m1 - 1)]
+    nonpositive = [(l1, m1, m) for l1, m1, m in extended
+                   if mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m)).flat_over_pi <= 0]
+    print(f"extended range 2 <= m <= 2 m1 - 2: {len(extended)} extra pairs checked, "
+          f"{len(nonpositive)} nonpositive")
+    for tup in nonpositive:
         print(f"  extended-range nonpositive at (l1, m1, m) = {tup}")
 
     samples = [(args.lmax, args.lmax, 2), (args.lmax, 2, 2), (max(3, args.lmax - 1), 3, 3)]

@@ -31,7 +31,6 @@ from .criterion import (
     mc_symmetry_negate,
     rhw_mc,
     rhw_threshold,
-    theorem_scan,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +59,6 @@ __all__ = [
     "mc_symmetry_negate",
     "rhw_mc",
     "rhw_threshold",
-    "theorem_scan",
     "threej_closed_110",
     "threej_closed_stretched",
     "threej_lm",

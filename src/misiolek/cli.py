@@ -284,12 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact output of a high degree can run past Python's 4,300-digit guard on
+    # int-to-str conversion; the guard stays on while the flags are parsed.
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(parser, args)
     except OverflowError:
         # The exact value is fine but its float is not; the exception text can
         # carry a radicand thousands of digits long, so it is not echoed.
         parser.error(f"{args.command}: the result exceeds the float range")
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,11 @@ critical-ratio and threshold divisions, where a bare radical survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
+from .checks import SuiteResult
 from .exact import SignedSqrtRational
 from .structure import HarmonicIndex, g_real
 from .wigner import _parity
@@ -322,21 +323,19 @@ def critical_ratio(l1: int, l2: int, m2: int) -> CriticalRatio:
 
 @dataclass(frozen=True)
 class CriticalRatioTable:
-    """Grid of critical rotation rates over (l2, m2) for a fixed zonal flow."""
+    """Grid of critical rotation rates over (l2, m2) for a fixed zonal flow.
+
+    ``cells`` is row-major: rows l2 = 1..l2_max, columns m2 = 1..l2_max.
+    """
 
     l1: int
     l2_max: int
     cells: Tuple[CriticalRatio, ...]
-    _by_position: Dict[Tuple[int, int], CriticalRatio] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_position", {(c.l2, c.m2): c for c in self.cells})
 
     def cell(self, l2: int, m2: int) -> CriticalRatio:
-        c = self._by_position.get((l2, m2))
-        if c is None:
+        if not (1 <= l2 <= self.l2_max and 1 <= m2 <= self.l2_max):
             raise KeyError(f"no cell ({l2}, {m2})")
-        return c
+        return self.cells[(l2 - 1) * self.l2_max + m2 - 1]
 
     def defined_cells(self) -> List[CriticalRatio]:
         return [c for c in self.cells if c.defined]
@@ -476,64 +475,43 @@ def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fra
     return ratios
 
 
-@dataclass
-class TheoremScan:
-    """Exact positivity sweep of the main theorem plus its proof chains."""
+def check_probe_positivity(res: SuiteResult, l_max: int) -> None:
+    """MC(e_{l1 m1}, e_{m -m}) > 0 for 2 <= m <= m1 <= l1 <= l_max, with its proof chain.
 
-    l_max: int
-    checked_pairs: int = 0
-    checked_wave_pairs: int = 0
-    checked_zonal: int = 0
-    checked_chains: int = 0
-    failures: List[str] = field(default_factory=list)
-    extended_nonpositive: List[Tuple[int, int, int]] = field(default_factory=list)
-    extended_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def theorem_scan(l_max: int) -> TheoremScan:
-    """Verify both positivity families exactly up to l_max.
-
-    Part one: MC(e_{l1 m1}, e_{m -m}) > 0 for 1 < m1 <= l1, 2 <= m <= m1.
-    Part two: MC(e_{l1 1}, e_{l2 1}) > 0 for 2 <= l2 < l1.  Also checks the
-    monotone proof chains, the nonpositivity of all zonal criteria, and
-    reports (without asserting) the conjectured range m <= 2 m1 - 2.
+    One check per pair and one per chain ratio: each ratio exceeds 1 and
+    the chain increases.
     """
-    if l_max < 3:
-        raise ValueError("requires l_max >= 3")
-    scan = TheoremScan(l_max)
     for l1 in range(2, l_max + 1):
         for m1 in range(2, l1 + 1):
             for m in range(2, m1 + 1):
                 report = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
-                scan.checked_pairs += 1
+                res.checks += 1
                 if _sign(report.flat_over_pi) <= 0:
-                    scan.failures.append(f"MC(e_{{{l1} {m1}}}, e_{{{m} {-m}}}) not positive")
+                    res.fail(f"MC(e_{{{l1} {m1}}}, e_{{{m} {-m}}}) not positive")
                 chain = positivity_chain(l1, m, report.summands)
-                scan.checked_chains += len(chain)
+                res.checks += len(chain)
                 if any(r <= 1 for r in chain):
-                    scan.failures.append(f"positivity chain not > 1 for ({l1},{m1},{m})")
+                    res.fail(f"positivity chain not > 1 for ({l1},{m1},{m})")
                 if any(r2 <= r1 for r1, r2 in zip(chain, chain[1:])):
-                    scan.failures.append(f"positivity chain not increasing for ({l1},{m1},{m})")
-            for m in range(m1 + 1, 2 * m1 - 1):
-                scan.extended_checked += 1
-                report = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
-                if _sign(report.flat_over_pi) <= 0:
-                    scan.extended_nonpositive.append((l1, m1, m))
+                    res.fail(f"positivity chain not increasing for ({l1},{m1},{m})")
+
+
+def check_order_one_positivity(res: SuiteResult, l_max: int) -> None:
+    """MC(e_{l1 1}, e_{l2 1}) > 0 for 2 <= l2 < l1 <= l_max."""
     for l1 in range(3, l_max + 1):
         for l2 in range(2, l1):
             report = mc_flat(HarmonicIndex(l1, 1), HarmonicIndex(l2, 1))
-            scan.checked_wave_pairs += 1
+            res.checks += 1
             if _sign(report.flat_over_pi) <= 0:
-                scan.failures.append(f"MC(e_{{{l1} 1}}, e_{{{l2} 1}}) not positive")
+                res.fail(f"MC(e_{{{l1} 1}}, e_{{{l2} 1}}) not positive")
+
+
+def check_zonal_nonpositivity(res: SuiteResult, l_max: int) -> None:
+    """MC(e_{l1 0}, e_{l2 m2}) <= 0 for every zonal flow and probe of degree <= l_max."""
     for l1 in range(1, l_max + 1):
         for l2 in range(1, l_max + 1):
             for m2 in range(-l2, l2 + 1):
                 report = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2))
-                scan.checked_zonal += 1
+                res.checks += 1
                 if _sign(report.flat_over_pi) > 0:
-                    scan.failures.append(f"zonal MC(e_{{{l1} 0}}, e_{{{l2} {m2}}}) positive")
-    return scan
+                    res.fail(f"zonal MC(e_{{{l1} 0}}, e_{{{l2} {m2}}}) positive")

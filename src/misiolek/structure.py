@@ -12,11 +12,12 @@ is the exact coefficient of 1/pi in g**2, and it enters a float only in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, permutations
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterator, List, Tuple
 
+from .checks import SuiteResult
 from .exact import SignedSqrtRational
 from .wigner import _parity, _racah_sum, threej_band, threej_lm
 
@@ -227,29 +228,13 @@ def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
     return BracketExpansion(a, b, tuple(terms))
 
 
-@dataclass(frozen=True)
-class SymmetryFailure:
-    identity: str
-    indices: Tuple[int, ...]
-
-
-@dataclass
-class SymmetryReport:
-    l_max: int
-    checks: int = 0
-    failures: List[SymmetryFailure] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def validate_symmetries(l_max: int) -> SymmetryReport:
+def validate_symmetries(res: SuiteResult, l_max: int) -> None:
     """Exhaustively check the cyclic, order-negation and lower-swap identities.
 
     All tuples with degrees <= l_max and orders summing to zero are checked
-    (other tuples vanish identically on both sides).  These are exact
-    identities, so any failure is a defect, not a tolerance issue.
+    (other tuples vanish identically on both sides), one check per tuple,
+    added to ``res``.  These are exact identities, so any failure is a
+    defect, not a tolerance issue.
 
     The identities only permute the degrees, so the tuples are taken one
     degree multiset {l1, l2, l3} at a time: ``g_real`` runs once per tuple of
@@ -258,8 +243,7 @@ def validate_symmetries(l_max: int) -> SymmetryReport:
     are reported in (l1, m1, l2, m2, l3) order, and per tuple as cyclic,
     order-negation, lower-swap.
     """
-    report = SymmetryReport(l_max)
-    failures = report.failures
+    failures = []
     for a in range(l_max + 1):
         for b in range(a, l_max + 1):
             for c in range(b, l_max + 1):
@@ -270,17 +254,17 @@ def validate_symmetries(l_max: int) -> SymmetryReport:
                             args = (l1, m1, l2, m2, l3, -(m1 + m2))
                             g = g_real(*args)
                             values[args] = (g.sign, g.num, g.den)
-                report.checks += len(values)
+                res.checks += len(values)
                 for args, base in values.items():
                     l1, m1, l2, m2, l3, m3 = args
                     sign, num, den = base
                     negated = (-sign, num, den)
                     if not (base == values[l3, m3, l1, m1, l2, m2] == values[l2, m2, l3, m3, l1, m1]):
-                        failures.append(SymmetryFailure("cyclic", args))
+                        failures.append((args, "cyclic"))
                     if values[l1, -m1, l2, -m2, l3, -m3] != negated:
-                        failures.append(SymmetryFailure("order-negation", args))
+                        failures.append((args, "order-negation"))
                     if values[l2, m2, l1, m1, l3, m3] != negated:
-                        failures.append(SymmetryFailure("lower-swap", args))
+                        failures.append((args, "lower-swap"))
     # Stable: a tuple's identities keep their order.
-    failures.sort(key=attrgetter("indices"))
-    return report
+    failures.sort(key=itemgetter(0))
+    res.failures.extend(f"{identity} identity off at {args}" for args, identity in failures)

@@ -1,20 +1,28 @@
 """Invariant suites shared by the command-line `verify` entry and the tests.
 
 Each suite sweeps one family of exact identities (or oracle comparisons) up
-to a degree cap and reports check/failure counts; exact identities tolerate
-nothing, oracle-backed ones report their worst deviation.  The wigner and
-table suites are made of ``check_*`` blocks that add to a given
-``SuiteResult``; the acceptance tests and scripts call these blocks too.
+to a degree cap and reports check/failure counts in a ``SuiteResult``;
+exact identities tolerate nothing, oracle-backed ones report their worst
+deviation.  The wigner, structure, theorem and table suites are made of
+``check_*`` blocks that add to a given ``SuiteResult`` (the symmetry block
+is ``structure.validate_symmetries``, the theorem blocks are in
+``criterion``); the acceptance tests and scripts call these blocks too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import List, Optional
+from typing import Optional
 
-from .criterion import critical_table, mc_coriolis, theorem_scan
+from .checks import SuiteResult
+from .criterion import (
+    check_order_one_positivity,
+    check_probe_positivity,
+    check_zonal_nonpositivity,
+    critical_table,
+    mc_coriolis,
+)
 from .oracle import QuadratureGrid, oracle_structure_coeff
 from .reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE, REFERENCE_UNDEFINED
 from .structure import HarmonicIndex, _is_negation, bracket_expand, g_real, validate_symmetries
@@ -30,6 +38,9 @@ SUITE_NAMES = ("wigner", "structure", "oracle", "theorem", "table")
 
 #: Default degree cap and smallest accepted cap of each suite that takes one.
 _CAPS = {"wigner": (12, 0), "structure": (10, 0), "oracle": (6, 0), "theorem": (12, 3)}
+
+#: Largest deviation of an oracle structure coefficient from the exact one.
+ORACLE_TOLERANCE = 1e-9
 
 
 def suite_cap(name: str, l_max: Optional[int] = None) -> Optional[int]:
@@ -49,35 +60,6 @@ def suite_cap(name: str, l_max: Optional[int] = None) -> Optional[int]:
     if l_max < least:
         raise ValueError(f"requires l_max >= {least}" if least else "l_max must be nonnegative")
     return l_max
-
-
-@dataclass
-class SuiteResult:
-    suite: str
-    l_max: int
-    checks: int = 0
-    failures: List[str] = field(default_factory=list)
-    max_deviation: Optional[float] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
-
-    def summary(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "lmax": self.l_max,
-            "checks": self.checks,
-            "failures": len(self.failures),
-        }
-        if self.max_deviation is not None:
-            out["max_deviation"] = self.max_deviation
-        if self.failures:
-            out["first_failure"] = self.failures[0]
-        return out
 
 
 def check_stretched_forms(res: SuiteResult, l_max: int) -> None:
@@ -164,10 +146,7 @@ def structure_suite(l_max: int = 10) -> SuiteResult:
     """Structure-constant identities, selection-rule zeros, antisymmetry."""
     suite_cap("structure", l_max)
     res = SuiteResult("structure", l_max)
-    symmetry = validate_symmetries(l_max)
-    res.checks += symmetry.checks
-    for failure in symmetry.failures:
-        res.fail(f"{failure.identity} identity off at {failure.indices}")
+    validate_symmetries(res, l_max)
     for l1 in range(1, l_max + 1):
         for l2 in range(1, l_max + 1):
             for l3 in range(l_max + 1):
@@ -210,7 +189,7 @@ def structure_suite(l_max: int = 10) -> SuiteResult:
     return res
 
 
-def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
+def oracle_suite(l_max: int = 6) -> SuiteResult:
     """Quadrature projections against the exact pipeline, plus grid identities."""
     suite_cap("oracle", l_max)
     res = SuiteResult("oracle", l_max)
@@ -244,19 +223,18 @@ def oracle_suite(l_max: int = 6, tolerance: float = 1e-9) -> SuiteResult:
                 got = oracle_structure_coeff(a.l, a.m, b.l, b.m, l3, m3, grid)
                 dev = abs(got - expansion.coefficient(l3))
                 worst = max(worst, dev)
-                if dev > tolerance:
+                if dev > ORACLE_TOLERANCE:
                     res.fail(f"structure coefficient off at ({a},{b},l3={l3}): dev {dev:.2e}")
     res.max_deviation = worst
     return res
 
 
 def theorem_suite(l_max: int = 12) -> SuiteResult:
-    """Exact positivity sweep of the criterion theorem."""
+    """Exact sweep of the criterion theorem's three statements."""
     suite_cap("theorem", l_max)
     res = SuiteResult("theorem", l_max)
-    scan = theorem_scan(l_max)
-    res.checks = scan.checked_pairs + scan.checked_wave_pairs + scan.checked_zonal + scan.checked_chains
-    res.failures.extend(scan.failures)
+    for block in (check_probe_positivity, check_order_one_positivity, check_zonal_nonpositivity):
+        block(res, l_max)
     return res
 
 

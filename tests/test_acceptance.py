@@ -8,20 +8,22 @@ import math
 import time
 from fractions import Fraction
 
+from misiolek.checks import SuiteResult
 from misiolek.criterion import (
     RHWave,
+    check_order_one_positivity,
+    check_probe_positivity,
+    check_zonal_nonpositivity,
     critical_table,
     mc_coriolis,
     mc_flat,
     rhw_mc,
     rhw_threshold,
-    theorem_scan,
 )
 from misiolek.oracle import QuadratureGrid, poisson_bracket
 from misiolek.reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE
 from misiolek.structure import HarmonicIndex as H, bracket_expand, validate_symmetries
 from misiolek.suites import (
-    SuiteResult,
     check_order_one_forms,
     check_stretched_forms,
     check_threej_symmetries,
@@ -54,14 +56,26 @@ def test_criterion_1_reference_table_reproduction():
 
 def test_criterion_2_theorem_positivity_sweep():
     started = time.perf_counter()
-    scan = theorem_scan(12)
+    cap = 12
+    probe, order_one, zonal = (SuiteResult("theorem", cap) for _ in range(3))
+    check_probe_positivity(probe, cap)
+    check_order_one_positivity(order_one, cap)
+    check_zonal_nonpositivity(zonal, cap)
     elapsed = time.perf_counter() - started
-    assert scan.failures == []
-    assert scan.checked_pairs == sum(m1 - 1 for l1 in range(2, 13) for m1 in range(2, l1 + 1))
-    assert scan.checked_wave_pairs == sum(l1 - 2 for l1 in range(3, 13))
+    for result in (probe, order_one, zonal):
+        assert result.failures == []
+    triples = [(l1, m1, m) for l1 in range(2, cap + 1) for m1 in range(2, l1 + 1)
+               for m in range(2, m1 + 1)]
+    pairs = sum(m1 - 1 for l1 in range(2, cap + 1) for m1 in range(2, l1 + 1))
+    assert len(triples) == pairs
+    # One check per pair and one per proof-chain ratio: m // 2 ratios for probe order m.
+    assert probe.checks == pairs + sum(m // 2 for _, _, m in triples)
+    assert order_one.checks == sum(l1 - 2 for l1 in range(3, cap + 1))
+    assert zonal.checks == cap * sum(2 * l2 + 1 for l2 in range(1, cap + 1))
     assert elapsed < 30.0, f"positivity sweep took {elapsed:.1f}s"
-    _report(2, f"{scan.checked_pairs} wave-probe pairs and {scan.checked_wave_pairs} "
-               f"order-one pairs exactly positive up to degree 12 ({elapsed:.2f}s)")
+    _report(2, f"{pairs} wave-probe pairs with {probe.checks - pairs} chain ratios and "
+               f"{order_one.checks} order-one pairs exactly positive, {zonal.checks} zonal "
+               f"pairs exactly nonpositive up to degree {cap} ({elapsed:.2f}s)")
 
 
 def test_criterion_3_vanishing_corollary():
@@ -115,7 +129,8 @@ def test_criterion_5_closed_form_consistency():
 
 
 def test_criterion_6_symmetry_suite():
-    report = validate_symmetries(10)
+    report = SuiteResult("structure", 10)
+    validate_symmetries(report, 10)
     assert report.ok, report.failures[:3]
     assert report.checks == 88913
     result = SuiteResult("wigner", 10)

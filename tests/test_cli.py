@@ -4,11 +4,14 @@ import csv
 import io
 import json
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 
 import misiolek.cli
 from misiolek.cli import main
+from misiolek.exact import SignedSqrtRational
 from misiolek.suites import SUITE_NAMES, run_suite, structure_suite, suite_cap, wigner_suite
 
 
@@ -43,6 +46,18 @@ def test_wigner3j_selection_rule_status(capsys):
 
 def test_wigner3j_usage_error_exit_2():
     assert run_cli_expect_usage_error("wigner3j", "--l", "2", "x", "0", "--m", "0", "0", "0") == 2
+
+
+def test_exact_output_beyond_the_int_to_str_digit_guard(capsys, monkeypatch):
+    # A degree-10000 symbol has such a radicand; stubbed here to keep it fast.
+    radicand = Fraction(10 ** 5000 + 1, 10 ** 5000)
+    monkeypatch.setattr(misiolek.cli, "threej_lm", lambda *args: SignedSqrtRational.of(1, radicand))
+    digits = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "wigner3j", "--l", "10000", "10000", "10000", "--m", "1", "-1", "0")
+    assert code == 0
+    numerator, denominator = json.loads(out)["exact"]["radicand"].split("/")
+    assert len(numerator) == 5001 and len(denominator) == 5001
+    assert sys.get_int_max_str_digits() == digits
 
 
 def test_mc_flat_record(capsys):

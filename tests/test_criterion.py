@@ -6,10 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import misiolek.criterion
+from misiolek.checks import SuiteResult
 from misiolek.criterion import (
     MCValue,
     OrderCollisionError,
     RHWave,
+    check_order_one_positivity,
+    check_probe_positivity,
+    check_zonal_nonpositivity,
     conjugate_time,
     coriolis_slope,
     critical_ratio,
@@ -22,10 +27,10 @@ from misiolek.criterion import (
     positivity_chain,
     rhw_mc,
     rhw_threshold,
-    theorem_scan,
 )
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import HarmonicIndex as H
+from misiolek.suites import theorem_suite
 
 
 def float_ulps(a, b):
@@ -221,8 +226,9 @@ def test_critical_table_shape_and_signs():
         assert (cell.direction == ">") == (cell.value >= 0)
     assert table.cell(2, 3).status == "not-applicable"
     assert all(table.cell(c.l2, c.m2) is c for c in table.cells)
-    with pytest.raises(KeyError):
-        table.cell(6, 1)
+    for l2, m2 in ((6, 1), (0, 1), (1, 0), (1, 6)):
+        with pytest.raises(KeyError):
+            table.cell(l2, m2)
 
 
 def test_rhw_solution_constructor():
@@ -328,14 +334,35 @@ def test_positivity_chain_monotone_instances():
         assert all(b > a for a, b in zip(chain, chain[1:]))
 
 
-def test_theorem_scan_small():
-    scan = theorem_scan(6)
-    assert scan.ok
-    assert scan.checked_pairs == sum(m1 - 1 for l1 in range(2, 7) for m1 in range(2, l1 + 1))
-    assert scan.checked_wave_pairs == 10  # (l1, l2) with 2 <= l2 < l1 <= 6
-    assert scan.extended_nonpositive == []
+def test_theorem_blocks_small():
+    blocks = (check_probe_positivity, check_order_one_positivity, check_zonal_nonpositivity)
+    results = [SuiteResult("theorem", 6) for _ in blocks]
+    for block, result in zip(blocks, results):
+        block(result, 6)
+        assert result.ok
+    pairs = sum(m1 - 1 for l1 in range(2, 7) for m1 in range(2, l1 + 1))
+    assert results[0].checks > pairs  # the proof chains add their ratios
+    assert results[1].checks == 10  # (l1, l2) with 2 <= l2 < l1 <= 6
+    assert results[2].checks == 6 * sum(2 * l2 + 1 for l2 in range(1, 7))
+    suite = theorem_suite(6)
+    assert (suite.checks, suite.failures) == (sum(r.checks for r in results), [])
     with pytest.raises(ValueError):
-        theorem_scan(2)
+        theorem_suite(2)
+
+
+def test_theorem_suite_leaves_out_the_conjectured_range(monkeypatch):
+    honest = misiolek.criterion.mc_flat
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.l, a.m, b.l, b.m))
+        return honest(a, b)
+
+    monkeypatch.setattr(misiolek.criterion, "mc_flat", counting)
+    assert theorem_suite(10).ok
+    # 165 wave-probe pairs, 36 order-one pairs and 10 * 120 zonal pairs.
+    assert len(calls) == 1401
+    assert not any(m1 >= 2 and l2 == -m2 > m1 for _, m1, l2, m2 in calls)
 
 
 def test_scan_exclusions_hold():

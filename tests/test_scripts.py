@@ -41,9 +41,24 @@ def test_make_critical_tables_small_grid_still_checks_references(tmp_path):
 def test_sweep_positivity_holds_and_caches_one_symbol_per_degree_triple(tmp_path):
     done = run_script("sweep_positivity.py", "--lmax", "10", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert "all asserted positivity and nonpositivity statements hold exactly" in done.stdout
+    first, *rest = done.stdout.splitlines()
+    # One count per theorem block: 165 pairs and 295 chain ratios, 36, 10 * 120.
+    assert first.startswith("lmax=10: 460 wave-probe pair and chain-ratio checks, "
+                            "36 order-one pairs, 1200 zonal pairs in ")
+    assert "all asserted positivity and nonpositivity statements hold exactly" in rest
+    assert "extended range 2 <= m <= 2 m1 - 2: 120 extra pairs checked, 0 nonpositive" in rest
     # Only the (l1 l2 l3; 1 -1 0) symbols stay cached: 565 degree triples at lmax 10.
     assert done.stderr.startswith("racah cache entries: 565, peak RSS: ")
+
+
+def test_sweep_layers_import_no_numpy():
+    # The sweep script runs on these modules; numpy is for the oracle only.
+    code = ("import sys, misiolek.checks, misiolek.structure, misiolek.criterion; "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_wave_stability_prints_one_row_per_default_wave(tmp_path):

@@ -10,19 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 import misiolek.structure
 import misiolek.suites
-from misiolek.criterion import mc_flat, theorem_scan
+from misiolek.checks import SuiteResult
+from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
     BracketExpansion,
     BracketTerm,
     HarmonicIndex,
-    SymmetryFailure,
     bracket_expand,
     g_real,
     l123,
     validate_symmetries,
 )
-from misiolek.suites import structure_suite
+from misiolek.suites import structure_suite, theorem_suite
 from misiolek.wigner import _racah, threej_lm
 
 SSR = SignedSqrtRational
@@ -112,10 +112,10 @@ def test_g_real_caches_only_the_shared_order_symbol():
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
     threej_lm(5, 4, 6, 1, -1, 0)  # a hit: the one entry is (5 4 6; 1 -1 0)
     assert _racah.cache_info().hits == 2
-    # A cold theorem scan to degree 10 keeps one entry per degree triple it uses.
+    # A cold theorem suite to degree 10 keeps one entry per degree triple it uses.
     _racah.cache_clear()
-    theorem_scan(10)
-    assert _racah.cache_info().currsize == 565
+    theorem_suite(10)
+    assert _racah.cache_info().currsize == 385
 
 
 def test_bracket_with_rotation_generator():
@@ -251,14 +251,26 @@ def test_bracket_antisymmetry():
                         assert mirror.phase_imag == term.phase_imag
 
 
+def _symmetries(l_max):
+    result = SuiteResult("structure", l_max)
+    validate_symmetries(result, l_max)
+    return result
+
+
 def test_validate_symmetries_counts():
-    tiny = validate_symmetries(1)
+    tiny = _symmetries(1)
     assert tiny.ok and tiny.checks > 0
-    small = validate_symmetries(3)
+    small = _symmetries(3)
     assert small.ok
-    bigger = validate_symmetries(5)
+    bigger = _symmetries(5)
     assert bigger.ok
     assert bigger.checks > small.checks > tiny.checks
+
+
+def test_validate_symmetries_adds_to_the_result_it_is_given():
+    result = SuiteResult("structure", 3, checks=5, failures=["earlier"])
+    validate_symmetries(result, 3)
+    assert (result.checks, result.failures) == (5 + _symmetries(3).checks, ["earlier"])
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,19 +303,18 @@ def test_validate_symmetries_reports_a_flipped_sign(monkeypatch):
     # In the order of the (l1, m1, l2, m2, l3) loop, and per tuple cyclic,
     # order-negation, lower-swap.
     target = (1, 1, 2, -1, 2, 0)
-    l1, m1, l2, m2, l3, m3 = target
-    checks = validate_symmetries(3).checks
+    checks = _symmetries(3).checks
     _flip_one(monkeypatch, target)
-    report = validate_symmetries(3)
+    report = _symmetries(3)
     assert report.checks == checks
     assert report.failures == [
-        SymmetryFailure("order-negation", (l1, -m1, l2, -m2, l3, -m3)),
-        SymmetryFailure("cyclic", target),
-        SymmetryFailure("order-negation", target),
-        SymmetryFailure("lower-swap", target),
-        SymmetryFailure("lower-swap", (l2, m2, l1, m1, l3, m3)),
-        SymmetryFailure("cyclic", (l2, m2, l3, m3, l1, m1)),
-        SymmetryFailure("cyclic", (l3, m3, l1, m1, l2, m2)),
+        "order-negation identity off at (1, -1, 2, 1, 2, 0)",
+        "cyclic identity off at (1, 1, 2, -1, 2, 0)",
+        "order-negation identity off at (1, 1, 2, -1, 2, 0)",
+        "lower-swap identity off at (1, 1, 2, -1, 2, 0)",
+        "lower-swap identity off at (2, -1, 1, 1, 2, 0)",
+        "cyclic identity off at (2, -1, 2, 0, 1, 1)",
+        "cyclic identity off at (2, 0, 1, 1, 2, -1)",
     ]
 
 
@@ -317,7 +328,7 @@ def test_validate_symmetries_evaluates_each_tuple_once(monkeypatch):
 
     monkeypatch.setattr(misiolek.structure, "g_real", counting)
     l_max = 4
-    report = validate_symmetries(l_max)
+    report = _symmetries(l_max)
     checked = {(l1, m1, l2, m2, l3, -(m1 + m2))
                for l1 in range(l_max + 1) for m1 in range(-l1, l1 + 1)
                for l2 in range(l_max + 1) for m2 in range(-l2, l2 + 1)
@@ -344,7 +355,7 @@ def test_structure_suite_expands_each_ordered_pair_once(monkeypatch):
 def test_symmetry_check_counts_are_pinned():
     suite = structure_suite(5)
     assert (suite.checks, suite.failures) == (6339, [])
-    assert validate_symmetries(10).checks == 88913
+    assert _symmetries(10).checks == 88913
 
 
 def test_structure_suite_reports_a_flipped_sign(monkeypatch):
