@@ -9,17 +9,19 @@ and no numpy, so every layer can write into the same result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    l_max: int
-    checks: int = 0
-    failures: List[str] = field(default_factory=list)
-    max_deviation: Optional[float] = None
+    __slots__ = ("suite", "l_max", "checks", "failures", "max_deviation")
+
+    def __init__(self, suite: str, l_max: int, checks: int = 0,
+                 failures: Optional[List[str]] = None, max_deviation: Optional[float] = None) -> None:
+        self.suite = suite
+        self.l_max = l_max
+        self.checks = checks
+        self.failures = [] if failures is None else failures
+        self.max_deviation = max_deviation
 
     @property
     def ok(self) -> bool:

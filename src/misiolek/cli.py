@@ -155,10 +155,15 @@ def cmd_mc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_critical_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.l1 < 1:
-        parser.error("--l1 must be >= 1")
-    table = critical_table(args.l1, l2_max=args.l2_max)
-    out = open(args.out, "w") if args.out else sys.stdout
+    # The table is built before --out is opened, so a rejected flag creates no file.
+    try:
+        table = critical_table(args.l1, l2_max=args.l2_max)
+    except ValueError as exc:
+        parser.error(f"critical-table: {exc}")
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        parser.error(f"--out: cannot open {args.out!r} for writing: {exc.strerror}")
     try:
         if args.format == "csv":
             out.write("l2,m2,ratio,direction,status\n")

@@ -10,12 +10,11 @@ critical-ratio and threshold divisions, where a bare radical survives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .checks import SuiteResult
-from .exact import SignedSqrtRational
+from .exact import Frozen, SignedSqrtRational
 from .structure import HarmonicIndex, g_real
 from .wigner import _parity
 
@@ -43,17 +42,21 @@ def _turn(l: int) -> int:
     return l * (l + 1)
 
 
-@dataclass(frozen=True)
-class MCValue:
+class MCValue(Frozen):
     """Exact scalar  rational + over_pi/pi + root/sqrt(pi).
 
     The three components are linearly independent over the rationals, so the
-    representation is canonical and dataclass equality is value equality.
+    representation is canonical and field equality is value equality.
     """
 
-    rational: Fraction = Fraction(0)
-    over_pi: Fraction = Fraction(0)
-    root_over_sqrt_pi: SignedSqrtRational = SignedSqrtRational.zero()
+    __slots__ = _fields = ("rational", "over_pi", "root_over_sqrt_pi")
+
+    def __init__(self, rational: Fraction = Fraction(0), over_pi: Fraction = Fraction(0),
+                 root_over_sqrt_pi: SignedSqrtRational = SignedSqrtRational.zero()) -> None:
+        set_rational, set_over_pi, set_root = self._writers
+        set_rational(self, rational)
+        set_over_pi(self, over_pi)
+        set_root(self, root_over_sqrt_pi)
 
     @classmethod
     def zero(cls) -> "MCValue":
@@ -93,7 +96,7 @@ class MCValue:
         return total
 
 
-class MCSummand:
+class MCSummand(Frozen):
     """Contribution of one output degree l3: g^2 * (l1(l1+1) - l3(l3+1)).
 
     ``num/den`` is g^2 * pi as plain integers in lowest terms with ``den > 0``;
@@ -102,13 +105,14 @@ class MCSummand:
     hold them.
     """
 
-    __slots__ = ("l3", "num", "den", "weight")
+    __slots__ = _fields = ("l3", "num", "den", "weight")
 
     def __init__(self, l3: int, num: int, den: int, weight: int) -> None:
-        _set_l3(self, l3)
-        _set_num(self, num)
-        _set_den(self, den)
-        _set_weight(self, weight)
+        set_l3, set_num, set_den, set_weight = self._writers
+        set_l3(self, l3)
+        set_num(self, num)
+        set_den(self, den)
+        set_weight(self, weight)
 
     @classmethod
     def reduced(cls, l3: int, num: int, den: int, weight: int) -> "MCSummand":
@@ -124,49 +128,26 @@ class MCSummand:
     def contribution_over_pi(self) -> Fraction:
         return Fraction(self.num * self.weight, self.den)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.l3, self.num, self.den, self.weight))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MCSummand):
-            return NotImplemented
-        return (self.l3, self.num, self.den, self.weight) == (other.l3, other.num, other.den, other.weight)
-
-    def __hash__(self) -> int:
-        return hash((self.l3, self.num, self.den, self.weight))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(l3={self.l3}, g_squared_over_pi={self.g_squared_over_pi!r}, "
-                f"weight={self.weight})")
-
-
-# Slot writers that bypass the refusing __setattr__; only __init__ uses them.
-_set_l3 = MCSummand.l3.__set__
-_set_num = MCSummand.num.__set__
-_set_den = MCSummand.den.__set__
-_set_weight = MCSummand.weight.__set__
-
-
-@dataclass(frozen=True)
-class MCReport:
+class MCReport(Frozen):
     """Exact criterion evaluation with its full decomposition.
 
     value == sum of summand contributions over pi, plus delta_term, plus
     coriolis_term, exactly; value_float is derived from the exact value.
     """
 
-    summands: Tuple[MCSummand, ...]
-    value: MCValue
-    delta_term: Fraction
-    coriolis_slope: MCValue
-    coriolis_term: MCValue
-    rotation: Fraction
+    __slots__ = _fields = ("summands", "value", "delta_term", "coriolis_slope", "coriolis_term",
+                           "rotation")
+
+    def __init__(self, summands: Tuple[MCSummand, ...], value: MCValue, delta_term: Fraction,
+                 coriolis_slope: MCValue, coriolis_term: MCValue, rotation: Fraction) -> None:
+        set_summands, set_value, set_delta, set_slope, set_coriolis, set_rotation = self._writers
+        set_summands(self, summands)
+        set_value(self, value)
+        set_delta(self, delta_term)
+        set_slope(self, coriolis_slope)
+        set_coriolis(self, coriolis_term)
+        set_rotation(self, rotation)
 
     @property
     def flat_over_pi(self) -> Fraction:
@@ -284,8 +265,7 @@ def mc_coriolis(a: HarmonicIndex, b: HarmonicIndex, rotation: Numeric) -> MCRepo
                    rotation=Fraction(rotation))
 
 
-@dataclass(frozen=True)
-class CriticalRatio:
+class CriticalRatio(Frozen):
     """Rotation rate at which the zonal criterion changes sign.
 
     direction is ">" when rates above the value give conjugate points and
@@ -293,12 +273,17 @@ class CriticalRatio:
     and must never be read as numeric zero.
     """
 
-    l1: int
-    l2: int
-    m2: int
-    status: str
-    value: Optional[float] = None
-    direction: Optional[str] = None
+    __slots__ = _fields = ("l1", "l2", "m2", "status", "value", "direction")
+
+    def __init__(self, l1: int, l2: int, m2: int, status: str, value: Optional[float] = None,
+                 direction: Optional[str] = None) -> None:
+        set_l1, set_l2, set_m2, set_status, set_value, set_direction = self._writers
+        set_l1(self, l1)
+        set_l2(self, l2)
+        set_m2(self, m2)
+        set_status(self, status)
+        set_value(self, value)
+        set_direction(self, direction)
 
     @property
     def defined(self) -> bool:
@@ -321,16 +306,19 @@ def critical_ratio(l1: int, l2: int, m2: int) -> CriticalRatio:
     return CriticalRatio(l1, l2, m2, STATUS_OK, value, ">" if denom.sign > 0 else "<")
 
 
-@dataclass(frozen=True)
-class CriticalRatioTable:
+class CriticalRatioTable(Frozen):
     """Grid of critical rotation rates over (l2, m2) for a fixed zonal flow.
 
     ``cells`` is row-major: rows l2 = 1..l2_max, columns m2 = 1..l2_max.
     """
 
-    l1: int
-    l2_max: int
-    cells: Tuple[CriticalRatio, ...]
+    __slots__ = _fields = ("l1", "l2_max", "cells")
+
+    def __init__(self, l1: int, l2_max: int, cells: Tuple[CriticalRatio, ...]) -> None:
+        set_l1, set_l2_max, set_cells = self._writers
+        set_l1(self, l1)
+        set_l2_max(self, l2_max)
+        set_cells(self, cells)
 
     def cell(self, l2: int, m2: int) -> CriticalRatio:
         if not (1 <= l2 <= self.l2_max and 1 <= m2 <= self.l2_max):
@@ -350,6 +338,8 @@ def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
     """
     if l1 < 1:
         raise ValueError("requires l1 >= 1")
+    if l2_max < 1:
+        raise ValueError("requires l2_max >= 1")
     cells = []
     for l2 in range(1, l2_max + 1):
         for m2 in range(1, l2_max + 1):
@@ -360,8 +350,7 @@ def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
     return CriticalRatioTable(l1, l2_max, tuple(cells))
 
 
-@dataclass(frozen=True)
-class RHWave:
+class RHWave(Frozen):
     """Traveling wave  A*Y_{l1 m1}(lambda - omega*t, mu) - C*mu.
 
     Constructed directly the parameters are unconstrained (tests probe
@@ -369,12 +358,17 @@ class RHWave:
     speed satisfying the dispersion relation instead.
     """
 
-    A: complex
-    C: Numeric
-    index: HarmonicIndex
-    omega: float
-    alpha2: float = 0.0
-    a: Numeric = 0.0
+    __slots__ = _fields = ("A", "C", "index", "omega", "alpha2", "a")
+
+    def __init__(self, A: complex, C: Numeric, index: HarmonicIndex, omega: float,
+                 alpha2: float = 0.0, a: Numeric = 0.0) -> None:
+        set_A, set_C, set_index, set_omega, set_alpha2, set_a = self._writers
+        set_A(self, A)
+        set_C(self, C)
+        set_index(self, index)
+        set_omega(self, omega)
+        set_alpha2(self, alpha2)
+        set_a(self, a)
 
     @classmethod
     def solution(cls, A: complex, C: Numeric, index: HarmonicIndex,

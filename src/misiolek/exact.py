@@ -4,6 +4,8 @@ Every coupling coefficient handled downstream is of the form ``s*sqrt(p/q)``
 with ``s`` a sign and ``p/q`` a nonnegative rational.  One value type holds
 ``s``, ``p`` and ``q`` as plain integers in lowest terms, so a product is
 two integer multiplications and one gcd, with no Fraction on the hot path.
+
+``Frozen`` is the base of every immutable value type of the package.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 from math import gcd
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from typing import Union
+from operator import attrgetter
+from typing import Callable, Tuple, Union
 
 #: Rational scalars accepted by the constructors below.
 RationalLike = Union[int, Fraction]
@@ -59,17 +62,62 @@ def _sqrt_ratio_to_float(p: int, q: int) -> float:
         raise OverflowError(f"sqrt({Fraction(p, q)}) exceeds double range") from None
 
 
+class Frozen:
+    """Base of the immutable value types: the one place value semantics live.
+
+    A subclass declares its ``__slots__``, the two or more ``_fields`` among
+    them that make up its value, and an ``__init__`` that writes each slot
+    through ``self._writers``, the slot descriptors' setters in slot order
+    (plain assignment is refused).  ``_values`` is the field tuple: values of
+    the same type are equal when their field tuples are, the hash is that of
+    the tuple, the repr is ``Name(field=value, ...)`` and a pickle rebuilds
+    from the tuple.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _writers: Tuple[Callable[[object, object], None], ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._writers = tuple(getattr(cls, name).__set__ for name in cls.__dict__.get("__slots__", ()))
+        # The field tuple in one C call (attrgetter of two or more names returns a tuple).
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._values)
+
+
 @total_ordering
-class SignedSqrtRational:
+class SignedSqrtRational(Frozen):
     """Exact value ``sign * sqrt(num/den)`` with integers ``num >= 0``, ``den > 0``.
 
     The representation is canonical: ``num/den`` is in lowest terms and
     ``sign == 0`` iff ``num == 0``, so equality of the three integers is exact
     value equality.  Values are immutable, because cached results are shared
-    by every caller.
+    by every caller; equality, hash, repr and pickling are its own, in terms
+    of the radicand.
     """
 
-    __slots__ = ("sign", "num", "den")
+    __slots__ = _fields = ("sign", "num", "den")
 
     def __init__(self, sign: int, radicand: RationalLike) -> None:
         rad = Fraction(radicand)
@@ -129,12 +177,6 @@ class SignedSqrtRational:
     def radicand(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
         return (type(self), (self.sign, self.radicand))
 
@@ -159,10 +201,6 @@ class SignedSqrtRational:
         """Exact product with a rational scalar (folded into the radicand)."""
         return self * SignedSqrtRational.from_rational(factor)
 
-    def square(self) -> Fraction:
-        """Exact square; always the radicand thanks to the zero invariant."""
-        return self.radicand
-
     def is_zero(self) -> bool:
         return self.sign == 0
 
@@ -185,7 +223,5 @@ class SignedSqrtRational:
 
 # Slot writers that bypass the refusing __setattr__; only the constructors use them.
 _new = object.__new__
-_set_sign = SignedSqrtRational.sign.__set__
-_set_num = SignedSqrtRational.num.__set__
-_set_den = SignedSqrtRational.den.__set__
+_set_sign, _set_num, _set_den = SignedSqrtRational._writers
 

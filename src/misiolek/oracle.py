@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
@@ -82,7 +81,6 @@ def ylm_eval(idx: HarmonicIndex, lam: ArrayLike, mu: ArrayLike) -> complex:
     return _norm_coeff(idx.l, idx.m) * legendre_p(idx.l, abs(idx.m), mu) * np.exp(1j * idx.m * np.asarray(lam))
 
 
-@dataclass
 class GridFunction:
     """Complex samples on a grid with analytic derivative fields alongside.
 
@@ -90,16 +88,19 @@ class GridFunction:
     quadrature weights, so that pairing against them is one dot product.
     """
 
-    values: np.ndarray
-    d_lam: Optional[np.ndarray] = None
-    d_mu: Optional[np.ndarray] = None
-    dual: Optional[np.ndarray] = None
+    __slots__ = ("values", "d_lam", "d_mu", "dual")
+
+    def __init__(self, values: np.ndarray, d_lam: Optional[np.ndarray] = None,
+                 d_mu: Optional[np.ndarray] = None, dual: Optional[np.ndarray] = None) -> None:
+        self.values = values
+        self.d_lam = d_lam
+        self.d_mu = d_mu
+        self.dual = dual
 
     def has_derivatives(self) -> bool:
         return self.d_lam is not None and self.d_mu is not None
 
 
-@dataclass
 class QuadratureGrid:
     """Gauss-Legendre nodes in mu times a uniform periodic rule in lambda.
 
@@ -108,16 +109,17 @@ class QuadratureGrid:
     n_lam - 1; the sizing below leaves margin for triple products.
     """
 
-    l_max: int
-    mu: np.ndarray
-    mu_weights: np.ndarray
-    lam: np.ndarray
-    lam_weight: float
-    _harmonics: Dict[Tuple[int, int], GridFunction] = field(default_factory=dict, repr=False)
-    # The flattened Poisson bracket of the most recently projected pair, keyed
-    # by (l1, m1, l2, m2): one slot, replaced whenever the pair changes.
-    _bracket: Optional[Tuple[Tuple[int, int, int, int], np.ndarray]] = field(
-        default=None, repr=False, compare=False)
+    def __init__(self, l_max: int, mu: np.ndarray, mu_weights: np.ndarray, lam: np.ndarray,
+                 lam_weight: float) -> None:
+        self.l_max = l_max
+        self.mu = mu
+        self.mu_weights = mu_weights
+        self.lam = lam
+        self.lam_weight = lam_weight
+        self._harmonics: Dict[Tuple[int, int], GridFunction] = {}
+        # The flattened Poisson bracket of the most recently projected pair, keyed
+        # by (l1, m1, l2, m2): one slot, replaced whenever the pair changes.
+        self._bracket: Optional[Tuple[Tuple[int, int, int, int], np.ndarray]] = None
 
     @classmethod
     def for_degree(cls, l_max: int) -> "QuadratureGrid":

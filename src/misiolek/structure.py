@@ -4,7 +4,7 @@ The Poisson bracket of two spherical harmonics expands over a short band of
 output degrees; the real constants g carry all magnitudes and the complex
 phase is the discrete unit -i*(-1)^(m1+m2), tracked as a tag instead of a
 complex float.  A constant is held as the SignedSqrtRational ``r`` of its
-value ``r / sqrt(pi)``: the 1/sqrt(pi) factor is implicit, so ``r.square()``
+value ``r / sqrt(pi)``: the 1/sqrt(pi) factor is implicit, so ``r.radicand``
 is the exact coefficient of 1/pi in g**2, and it enters a float only in
 ``BracketTerm.coefficient``.
 """
@@ -12,28 +12,28 @@ is the exact coefficient of 1/pi in g**2, and it enters a float only in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, permutations
 from operator import itemgetter
 from typing import Iterator, List, Tuple
 
 from .checks import SuiteResult
-from .exact import SignedSqrtRational
+from .exact import Frozen, SignedSqrtRational
 from .wigner import _parity, _racah_sum, threej_band, threej_lm
 
 
-@dataclass(frozen=True)
-class HarmonicIndex:
+class HarmonicIndex(Frozen):
     """Degree/order pair (l, m) of a spherical harmonic."""
 
-    l: int
-    m: int
+    __slots__ = _fields = ("l", "m")
 
-    def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError(f"negative degree {self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"order {self.m} exceeds degree {self.l}")
+    def __init__(self, l: int, m: int) -> None:
+        if l < 0:
+            raise ValueError(f"negative degree {l}")
+        if abs(m) > l:
+            raise ValueError(f"order {m} exceeds degree {l}")
+        set_l, set_m = self._writers
+        set_l(self, l)
+        set_m(self, m)
 
     @property
     def laplacian_eigenvalue(self) -> int:
@@ -90,7 +90,7 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
         -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den)
 
 
-class BracketTerm:
+class BracketTerm(Frozen):
     """One output harmonic of a Poisson bracket expansion.
 
     The complex coefficient is ``phase * g / sqrt(pi)`` where phase is the
@@ -98,51 +98,36 @@ class BracketTerm:
     is the root returned by ``g_real``.  Terms are immutable.
     """
 
-    __slots__ = ("l3", "m3", "g", "phase_imag")
+    __slots__ = _fields = ("l3", "m3", "g", "phase_imag")
 
     def __init__(self, l3: int, m3: int, g: SignedSqrtRational, phase_imag: int) -> None:
-        _set_l3(self, l3)
-        _set_m3(self, m3)
-        _set_g(self, g)
-        _set_phase_imag(self, phase_imag)
+        set_l3, set_m3, set_g, set_phase_imag = self._writers
+        set_l3(self, l3)
+        set_m3(self, m3)
+        set_g(self, g)
+        set_phase_imag(self, phase_imag)
 
     def coefficient(self) -> complex:
         # Scale before the phase: the sign of the real part's zero depends on it.
         return complex(0.0, self.phase_imag) * (self.g.to_float() * _PI_POWER)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+class BracketExpansion(Frozen):
+    """Expansion of {Y_{l1 m1}, Y_{l2 m2}} over output degrees l3; immutable.
 
-    def __reduce__(self):
-        return (type(self), (self.l3, self.m3, self.g, self.phase_imag))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BracketTerm):
-            return NotImplemented
-        return (self.l3, self.m3, self.g, self.phase_imag) == (other.l3, other.m3, other.g, other.phase_imag)
-
-    def __hash__(self) -> int:
-        return hash((self.l3, self.m3, self.g, self.phase_imag))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(l3={self.l3!r}, m3={self.m3!r}, g={self.g!r}, "
-                f"phase_imag={self.phase_imag!r})")
-
-
-class BracketExpansion:
-    """Expansion of {Y_{l1 m1}, Y_{l2 m2}} over output degrees l3; immutable."""
+    ``_by_degree`` indexes the terms by l3; it is derived, so not a field.
+    """
 
     __slots__ = ("input1", "input2", "terms", "_by_degree")
+    _fields = ("input1", "input2", "terms")
 
     def __init__(self, input1: HarmonicIndex, input2: HarmonicIndex,
                  terms: Tuple[BracketTerm, ...] = ()) -> None:
-        _set_input1(self, input1)
-        _set_input2(self, input2)
-        _set_terms(self, terms)
-        _set_by_degree(self, {t.l3: t for t in terms})
+        set_input1, set_input2, set_terms, set_by_degree = self._writers
+        set_input1(self, input1)
+        set_input2(self, input2)
+        set_terms(self, terms)
+        set_by_degree(self, {t.l3: t for t in terms})
 
     @property
     def output_order(self) -> int:
@@ -163,38 +148,6 @@ class BracketExpansion:
 
     def __iter__(self) -> Iterator[BracketTerm]:
         return iter(self.terms)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return (type(self), (self.input1, self.input2, self.terms))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BracketExpansion):
-            return NotImplemented
-        return (self.input1, self.input2, self.terms) == (other.input1, other.input2, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.input1, self.input2, self.terms))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(input1={self.input1!r}, input2={self.input2!r}, "
-                f"terms={self.terms!r})")
-
-
-# Slot writers that bypass the refusing __setattr__; only the constructors use them.
-_set_l3 = BracketTerm.l3.__set__
-_set_m3 = BracketTerm.m3.__set__
-_set_g = BracketTerm.g.__set__
-_set_phase_imag = BracketTerm.phase_imag.__set__
-_set_input1 = BracketExpansion.input1.__set__
-_set_input2 = BracketExpansion.input2.__set__
-_set_terms = BracketExpansion.terms.__set__
-_set_by_degree = BracketExpansion._by_degree.__set__
 
 
 def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:

@@ -126,7 +126,7 @@ def check_orthogonality(res: SuiteResult, l_max: int) -> None:
                         m2 = -m1 - m3
                         if abs(m2) > l2:
                             continue
-                        total += threej_lm(l1, l2, l3, m1, m2, m3).square()
+                        total += threej_lm(l1, l2, l3, m1, m2, m3).radicand
                     res.checks += 1
                     if total * (2 * l3 + 1) != 1:
                         res.fail(f"orthogonality off at ({l1},{l2},{l3},{m3})")

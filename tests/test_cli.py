@@ -189,6 +189,27 @@ def test_critical_table_json_and_file_output(capsys, tmp_path):
     assert undefined["status"] == "undefined" and "ratio" not in undefined
 
 
+@pytest.mark.parametrize("l2_max", ["0", "-2"])
+def test_critical_table_empty_grid_is_usage_error(capsys, tmp_path, l2_max):
+    target = tmp_path / "table.csv"
+    assert run_cli_expect_usage_error("critical-table", "--l1", "3", "--l2-max", l2_max,
+                                      "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "l2_max >= 1" in errors[0]
+    assert not target.exists()  # rejected before --out is opened
+
+
+def test_critical_table_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.csv"
+    assert run_cli_expect_usage_error("critical-table", "--l1", "3", "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--out" in errors[0] and "Traceback" not in captured.err
+
+
 def test_identical_invocations_byte_identical(capsys):
     _, first = run_cli(capsys, "critical-table", "--l1", "5", "--format", "csv")
     _, second = run_cli(capsys, "critical-table", "--l1", "5", "--format", "csv")

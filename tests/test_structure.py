@@ -15,7 +15,6 @@ from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
     BracketExpansion,
-    BracketTerm,
     HarmonicIndex,
     bracket_expand,
     g_real,
@@ -174,26 +173,6 @@ def test_bracket_band_and_parity():
     assert expansion.output_order == 0
     for term in expansion:
         assert (2 + 3 + term.l3) % 2 == 1
-
-
-def test_bracket_term_value_semantics():
-    g = SSR.of(-1, Fraction(18, 7))
-    term = BracketTerm(2, 0, g, -1)
-    assert term == BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
-    assert term != BracketTerm(2, 0, g, 1) and term != BracketTerm(4, 0, g, -1)
-    assert term != (2, 0, g, -1)
-    assert hash(term) == hash((2, 0, g, -1))
-    assert len({term, BracketTerm(2, 0, g, -1)}) == 1
-    assert repr(term) == ("BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, "
-                          "radicand=Fraction(18, 7)), phase_imag=-1)")
-    assert (term.l3, term.m3, term.g, term.phase_imag) == (2, 0, g, -1)
-    assert pickle.loads(pickle.dumps(term)) == term
-    with pytest.raises(AttributeError):
-        term.l3 = 4
-    with pytest.raises(AttributeError):
-        term.extra = 1
-    with pytest.raises(AttributeError):
-        del term.g
 
 
 def test_bracket_expansion_value_semantics():

@@ -1,0 +1,128 @@
+"""Value semantics of every immutable value type, all from the one ``Frozen`` base.
+
+Each ``Frozen`` subclass refuses assignment, new attributes and deletion,
+has no ``__dict__``, survives a pickle round trip, equals only values of its
+own type, and hashes like the tuple of its fields.  ``SignedSqrtRational``
+keeps its own radicand repr and pickle form.
+"""
+
+import ast
+import pickle
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import misiolek
+from misiolek.criterion import (
+    CriticalRatio,
+    CriticalRatioTable,
+    MCReport,
+    MCSummand,
+    MCValue,
+    RHWave,
+    critical_ratio,
+    critical_table,
+    mc_coriolis,
+    mc_flat,
+)
+from misiolek.exact import Frozen, SignedSqrtRational
+from misiolek.structure import BracketExpansion, BracketTerm, HarmonicIndex, bracket_expand
+from misiolek.wigner import threej_lm
+
+SSR = SignedSqrtRational
+SOURCE = Path(misiolek.__file__).parent
+
+#: One value of every Frozen subclass, and its repr where it is pinned.
+EXAMPLES = {
+    SignedSqrtRational: (threej_lm(3, 2, 1, 1, -1, 0),
+                         "SignedSqrtRational(sign=1, radicand=Fraction(8, 105))"),
+    HarmonicIndex: (HarmonicIndex(2, -1), "HarmonicIndex(l=2, m=-1)"),
+    BracketTerm: (BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1),
+                  "BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, "
+                  "radicand=Fraction(18, 7)), phase_imag=-1)"),
+    BracketExpansion: (bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -1)), None),
+    MCValue: (MCValue(Fraction(2), Fraction(-3), SSR.of(1, Fraction(9, 4))),
+              "MCValue(rational=Fraction(2, 1), over_pi=Fraction(-3, 1), "
+              "root_over_sqrt_pi=SignedSqrtRational(sign=1, radicand=Fraction(9, 4)))"),
+    MCSummand: (mc_flat(HarmonicIndex(7, 3), HarmonicIndex(4, -2)).summands[0],
+                "MCSummand(l3=4, num=246960, den=20449, weight=36)"),
+    MCReport: (mc_coriolis(HarmonicIndex(3, 0), HarmonicIndex(2, 1), Fraction(5)), None),
+    CriticalRatio: (critical_ratio(3, 2, 1), None),
+    CriticalRatioTable: (critical_table(3, l2_max=2), None),
+    RHWave: (RHWave.solution(A=1 + 2j, C=Fraction(1, 2), index=HarmonicIndex(3, 2), a=Fraction(-1, 3)),
+             None),
+}
+
+
+def _fields(value):
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def test_every_frozen_subclass_has_an_example():
+    assert set(Frozen.__subclasses__()) == set(EXAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(EXAMPLES), ids=lambda cls: cls.__name__)
+def test_value_semantics(cls):
+    value, pinned = EXAMPLES[cls]
+    assert type(value) is cls and value._fields
+    before = _fields(value)
+    for name in value._fields + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert _fields(value) == before
+    assert not hasattr(value, "__dict__")
+
+    restored = pickle.loads(pickle.dumps(value))
+    assert type(restored) is cls and restored is not value
+    assert restored == value and _fields(restored) == before
+    assert hash(restored) == hash(value) and len({value, restored}) == 1
+
+    assert value != before and hash(value) == hash(before)
+    if pinned is not None:
+        assert repr(value) == pinned
+    if cls is not SignedSqrtRational:
+        fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in value._fields)
+        assert repr(value) == f"{cls.__name__}({fields})"
+
+
+def test_cached_values_are_shared():
+    # lru_cache hands the same value object to every caller of threej_lm,
+    # which is why the value types refuse writes.
+    assert threej_lm(3, 2, 1, 1, -1, 0) is threej_lm(3, 2, 1, 1, -1, 0)
+
+
+def test_equality_needs_the_same_type():
+    a = HarmonicIndex(2, 1)
+    term = BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
+    assert term == BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
+    assert term != BracketTerm(2, 0, term.g, 1) and term != BracketTerm(4, 0, term.g, -1)
+    assert MCSummand(2, 1, 1, 1) != MCSummand(2, 1, 1, 2)
+    assert a != CriticalRatio(2, 1, 1, "x") and a.__eq__((2, 1)) is NotImplemented
+
+
+def _modules():
+    return sorted(SOURCE.glob("*.py"))
+
+
+def test_no_module_imports_dataclasses():
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "dataclasses" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+
+
+def test_immutability_is_written_once():
+    owners = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                owners += [(path.name, node.name) for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name in ("__setattr__", "__delattr__")]
+    assert owners == [("exact.py", "Frozen")] * 2

@@ -52,9 +52,9 @@ def test_known_values():
     # frozen from the Racah oracle; cross-checked against published tables
     assert threej_lm(2, 2, 0, 1, -1, 0) == SSR.of(-1, Fraction(1, 5))
     assert threej_lm(2, 2, 0, 1, -1, 0).to_float() == pytest.approx(-0.4472135954999579, abs=0)
-    assert threej_lm(1, 2, 3, 0, 0, 0).square() == Fraction(3, 35)
+    assert threej_lm(1, 2, 3, 0, 0, 0).radicand == Fraction(3, 35)
     assert threej_lm(1, 2, 3, 0, 0, 0).sign == -1
-    assert threej_lm(4, 5, 6, 1, 0, -1).square() == Fraction(4, 429)
+    assert threej_lm(4, 5, 6, 1, 0, -1).radicand == Fraction(4, 429)
     assert threej_lm(4, 5, 6, 1, 0, -1).sign == -1
     assert threej_lm(0, 0, 0, 0, 0, 0) == SSR.of(1, 1)
 
@@ -120,7 +120,7 @@ def test_orthogonality_exact():
                     for m1 in range(-l1, l1 + 1):
                         m2 = -m1 - m3
                         if abs(m2) <= l2:
-                            total += threej_lm(l1, l2, l3, m1, m2, m3).square()
+                            total += threej_lm(l1, l2, l3, m1, m2, m3).radicand
                     assert total * (2 * l3 + 1) == 1, (l1, l2, l3, m3)
 
 
@@ -185,7 +185,7 @@ def test_clebsch_gordan_examples():
     assert clebsch_gordan(1, 0, 1, 0, 2, 0) == want
     for l1 in range(1, 5):
         value = clebsch_gordan(l1, l1, l1, -l1, 0, 0)
-        assert value.square() == Fraction(1, 2 * l1 + 1)
+        assert value.radicand == Fraction(1, 2 * l1 + 1)
 
 
 def test_clebsch_gordan_unitarity_row():
@@ -195,7 +195,7 @@ def test_clebsch_gordan_unitarity_row():
         for m1 in range(-2, 3):
             m2 = 1 - m1
             if abs(m2) <= 2:
-                total += clebsch_gordan(2, m1, 2, m2, l3, 1).square()
+                total += clebsch_gordan(2, m1, 2, m2, l3, 1).radicand
         assert total == 1
 
 
