@@ -14,8 +14,9 @@ import pathlib
 import sys
 
 from misiolek.cli import main as cli_main
+from misiolek.checks import SuiteResult
 from misiolek.reference import REFERENCE_RATIOS
-from misiolek.suites import SuiteResult, check_reference_table
+from misiolek.suites import check_reference_table
 
 
 def main() -> int:

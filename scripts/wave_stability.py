@@ -20,21 +20,26 @@ def main() -> int:
     parser.add_argument("--kmax", type=float, default=12.0)
     parser.add_argument("--steps", type=int, default=7)
     args = parser.parse_args()
+    if args.steps < 2:
+        parser.error("--steps must be at least 2: the K grid runs from 0 to --kmax")
 
+    # Every row is computed before the header is printed, so a bad spec or
+    # flag is a usage error with nothing on stdout.
     ks = [args.kmax * i / (args.steps - 1) for i in range(args.steps)]
-    header = "l1 m1 m " + " ".join(f"K={k:g}" for k in ks)
-    print(header)
+    rows = []
     for spec in args.waves:
         try:
             l1, m1, m = (int(part) for part in spec.split(":"))
         except ValueError:
-            print(f"bad wave spec {spec!r}, expected l1:m1:m", file=sys.stderr)
-            return 2
-        row = [f"{l1:2d} {m1:2d} {m:2d}"]
-        for k in ks:
-            threshold = rhw_threshold(l1, m1, m, K=k)
-            row.append(f"{max(threshold, 0.0):.4g}")
-        print(" ".join(row))
+            parser.error(f"bad wave spec {spec!r}, expected l1:m1:m")
+        try:
+            thresholds = [rhw_threshold(l1, m1, m, K=k) for k in ks]
+        except (ValueError, OverflowError) as exc:
+            parser.error(f"wave spec {spec!r}: {exc}")
+        cells = " ".join(f"{max(threshold, 0.0):.4g}" for threshold in thresholds)
+        rows.append(f"{l1:2d} {m1:2d} {m:2d} {cells}")
+    print("l1 m1 m " + " ".join(f"K={k:g}" for k in ks))
+    print("\n".join(rows))
     return 0
 
 

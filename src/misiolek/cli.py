@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -29,7 +30,7 @@ from .criterion import (
 from .exact import SignedSqrtRational
 from .structure import HarmonicIndex, bracket_expand
 from .suites import SUITE_NAMES, run_suite, suite_cap
-from .wigner import threej_lm
+from .wigner import selection_rules_hold, threej_lm
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -95,19 +96,10 @@ def _harmonic(parser: argparse.ArgumentParser, l: int, m: int, what: str) -> Har
 
 
 def cmd_wigner3j(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    l1, l2, l3 = args.l
-    m1, m2, m3 = args.m
-    if min(l1, l2, l3) < 0:
-        parser.error("degrees must be nonnegative")
-    value = threej_lm(l1, l2, l3, m1, m2, m3)
-    selection_ok = (
-        m1 + m2 + m3 == 0
-        and abs(l1 - l2) <= l3 <= l1 + l2
-        and abs(m1) <= l1 and abs(m2) <= l2 and abs(m3) <= l3
-    )
+    value = threej_lm(*args.l, *args.m)
     record = {
-        "request": {"l": [l1, l2, l3], "m": [m1, m2, m3]},
-        "status": "ok" if selection_ok else "zero-by-selection-rule",
+        "request": {"l": args.l, "m": args.m},
+        "status": "ok" if selection_rules_hold(*args.l, *args.m) else "zero-by-selection-rule",
         "exact": _ssr_json(value),
         "float": value.to_float(),
     }
@@ -142,8 +134,6 @@ def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def cmd_mc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     a = _harmonic(parser, *args.a, what="--a")
     b = _harmonic(parser, *args.b, what="--b")
-    if a.l < 1 or b.l < 1:
-        parser.error("criterion indices need degree >= 1")
     request = {"a": [a.l, a.m], "b": [b.l, b.m]}
     if args.rotation is not None:
         request["rotation"] = args.rotation
@@ -156,10 +146,7 @@ def cmd_mc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def cmd_critical_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # The table is built before --out is opened, so a rejected flag creates no file.
-    try:
-        table = critical_table(args.l1, l2_max=args.l2_max)
-    except ValueError as exc:
-        parser.error(f"critical-table: {exc}")
+    table = critical_table(args.l1, l2_max=args.l2_max)
     try:
         out = open(args.out, "w") if args.out else sys.stdout
     except OSError as exc:
@@ -206,23 +193,13 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def cmd_rhw(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     l1, m1 = args.wave
     wave_index = _harmonic(parser, l1, m1, what="--wave")
-    if m1 == 0:
-        parser.error("--wave order must be nonzero: the wave criterion "
-                     "is stated for genuinely traveling waves only")
     if args.threshold is not None:
-        m = args.threshold
-        try:
-            value = rhw_threshold(l1, m1, m, K=args.K)
-        except ValueError as exc:
-            parser.error(str(exc))
         _emit({
-            "request": {"wave": [l1, m1], "threshold_order": m, "K": args.K},
+            "request": {"wave": [l1, m1], "threshold_order": args.threshold, "K": args.K},
             "status": "ok",
-            "float": value,
+            "float": rhw_threshold(l1, m1, args.threshold, K=args.K),
         }, sys.stdout)
         return 0
-    if args.probe is None:
-        parser.error("either --probe or --threshold is required")
     probe = _harmonic(parser, *args.probe, what="--probe")
     amplitude = complex(args.A[0], args.A[1])
     rotation = -args.K * args.C
@@ -236,8 +213,17 @@ def cmd_rhw(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e3 as a value like -1 and -1.5 where Python 3.11's argparse sees
+    an option; no option here looks like a number.  Subparsers share the class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="misiolek",
         description="Exact conjugate-point criteria for ideal flow on the rotating 2-sphere.",
     )
@@ -277,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", nargs=2, type=_finite_float, default=(0.0, 0.0), metavar=("RE", "IM"))
     p.add_argument("--C", type=_finite_float, default=1.0, help="zonal coefficient")
     p.add_argument("--K", type=_finite_float, default=0.0, help="rotation rate is a = -K*C")
-    p.add_argument("--probe", nargs=2, type=int, default=None, metavar=("L2", "M2"))
-    p.add_argument("--threshold", type=int, default=None, metavar="M",
-                   help="print the |A|^2/C^2 positivity threshold for probe e_{M -M}")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--probe", nargs=2, type=int, metavar=("L2", "M2"))
+    target.add_argument("--threshold", type=int, metavar="M",
+                        help="print the |A|^2/C^2 positivity threshold for probe e_{M -M}")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_rhw)
 
@@ -299,6 +286,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The exact value is fine but its float is not; the exception text can
         # carry a radicand thousands of digits long, so it is not echoed.
         parser.error(f"{args.command}: the result exceeds the float range")
+    except ValueError as exc:
+        # The library states every domain rule and raises ValueError outside
+        # it.  This cannot mislabel a failed verify run: the suites raise
+        # ValueError only for a degree cap, and cmd_verify checks every cap
+        # before it runs any suite.
+        parser.error(f"{args.command}: {exc}")
     finally:
         sys.set_int_max_str_digits(digits)
 

@@ -58,10 +58,6 @@ class MCValue(Frozen):
         set_over_pi(self, over_pi)
         set_root(self, root_over_sqrt_pi)
 
-    @classmethod
-    def zero(cls) -> "MCValue":
-        return cls()
-
     def __add__(self, other: "MCValue") -> "MCValue":
         if not self.root_over_sqrt_pi.is_zero() and not other.root_over_sqrt_pi.is_zero():
             raise ValueError("sum of two distinct radicals is not representable")
@@ -355,7 +351,8 @@ class RHWave(Frozen):
 
     Constructed directly the parameters are unconstrained (tests probe
     non-solutions deliberately); the `solution` constructor picks the phase
-    speed satisfying the dispersion relation instead.
+    speed satisfying the dispersion relation instead, and raises ValueError
+    where l(l+1) + alpha2 vanishes and no phase speed does.
     """
 
     __slots__ = _fields = ("A", "C", "index", "omega", "alpha2", "a")
@@ -374,6 +371,8 @@ class RHWave(Frozen):
     def solution(cls, A: complex, C: Numeric, index: HarmonicIndex,
                  alpha2: float = 0.0, a: Numeric = 0.0) -> "RHWave":
         spectral = _turn(index.l)
+        if spectral + alpha2 == 0:
+            raise ValueError("no phase speed: l(l+1) + alpha2 vanishes")
         omega = float((spectral - 2) * C + a) / (spectral + alpha2)
         return cls(A, C, index, omega, alpha2, a)
 

@@ -116,12 +116,18 @@ def threej_band(l1: int, l2: int, m1: int, m2: int, j_low: int) -> Iterator[Tupl
         yield j - 1, (sign if u > 0 else -sign) if u else 0, p * u * u, den
 
 
+def selection_rules_hold(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> bool:
+    """Whether (l1 l2 l3; m1 m2 m3) passes the selection rules: orders summing
+    to zero, each within its degree, and the triangle rule on the degrees."""
+    return (m1 + m2 + m3 == 0 and abs(m1) <= l1 and abs(m2) <= l2 and abs(m3) <= l3
+            and abs(l1 - l2) <= l3 <= l1 + l2)
+
+
 def threej_lm(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
-    """Exact 3j symbol; zero when a selection rule fails or an order exceeds its degree."""
+    """Exact 3j symbol; zero when a selection rule fails."""
     if l1 < 0 or l2 < 0 or l3 < 0:
         raise ValueError("negative degree")
-    if (m1 + m2 + m3 or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3
-            or not abs(l1 - l2) <= l3 <= l1 + l2):
+    if not selection_rules_hold(l1, l2, l3, m1, m2, m3):
         return _ZERO
     return _racah(l1, l2, l3, m1, m2, m3)
 

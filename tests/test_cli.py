@@ -1,7 +1,9 @@
 """Command-line surface: records, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -11,8 +13,11 @@ import pytest
 
 import misiolek.cli
 from misiolek.cli import main
+from misiolek.criterion import RHWave, mc_flat, rhw_mc, rhw_threshold
 from misiolek.exact import SignedSqrtRational
+from misiolek.structure import HarmonicIndex
 from misiolek.suites import SUITE_NAMES, run_suite, structure_suite, suite_cap, wigner_suite
+from misiolek.wigner import selection_rules_hold, threej_lm
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +30,22 @@ def run_cli_expect_usage_error(*argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     return excinfo.value.code
+
+
+def usage_error_line(capsys, *argv):
+    """The one error line of a usage error, after checking exit 2 and empty stdout."""
+    assert run_cli_expect_usage_error(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in captured.err
+    return errors[0]
+
+
+def library_error(call):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    return str(excinfo.value)
 
 
 def test_wigner3j_record(capsys):
@@ -46,6 +67,22 @@ def test_wigner3j_selection_rule_status(capsys):
 
 def test_wigner3j_usage_error_exit_2():
     assert run_cli_expect_usage_error("wigner3j", "--l", "2", "x", "0", "--m", "0", "0", "0") == 2
+
+
+def test_wigner3j_status_is_the_selection_rule_predicate(monkeypatch):
+    # Every tuple with degrees <= 4 and orders in -5..5, through the subcommand
+    # with the records collected unserialized.
+    records = []
+    monkeypatch.setattr(misiolek.cli, "_emit", lambda record, stream: records.append(record))
+    parser = misiolek.cli.build_parser()
+    tuples = list(itertools.product(range(5), range(5), range(5), *[range(-5, 6)] * 3))
+    for indices in tuples:
+        args = argparse.Namespace(l=list(indices[:3]), m=list(indices[3:]))
+        assert misiolek.cli.cmd_wigner3j(parser, args) == 0
+    assert len(records) == len(tuples) == 166_375
+    for indices, record in zip(tuples, records):
+        expected = "ok" if selection_rules_hold(*indices) else "zero-by-selection-rule"
+        assert record["status"] == expected, indices
 
 
 def test_exact_output_beyond_the_int_to_str_digit_guard(capsys, monkeypatch):
@@ -112,6 +149,49 @@ def test_rhw_zero_amplitude_record(capsys):
                         "--probe", "4", "2")
     record = json.loads(out)
     assert code == 0 and record["float"] == -72.0
+
+
+@pytest.mark.parametrize("argv, call", [
+    (("wigner3j", "--l", "-1", "2", "3", "--m", "0", "0", "0"), lambda: threej_lm(-1, 2, 3, 0, 0, 0)),
+    (("mc", "--a", "0", "0", "--b", "2", "1"), lambda: mc_flat(HarmonicIndex(0, 0), HarmonicIndex(2, 1))),
+    (("rhw", "--wave", "3", "0", "--probe", "2", "1"),
+     lambda: rhw_mc(RHWave.solution(A=0j, C=1.0, index=HarmonicIndex(3, 0)), HarmonicIndex(2, 1))),
+    (("rhw", "--wave", "3", "0", "--threshold", "2"), lambda: rhw_threshold(3, 0, 2)),
+    (("rhw", "--wave", "0", "0", "--probe", "1", "1"),
+     lambda: RHWave.solution(A=0j, C=1.0, index=HarmonicIndex(0, 0))),
+], ids=["negative-degree", "degree-zero", "zonal-wave-probe", "zonal-wave-threshold", "no-phase-speed"])
+def test_library_domain_error_is_usage_error(capsys, argv, call):
+    # The CLI states none of these rules; the library's own text reaches stderr.
+    assert usage_error_line(capsys, *argv).endswith(f"error: {argv[0]}: {library_error(call)}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rhw", "--wave", "3", "2", "--threshold", "2", "--probe", "1", "1"),
+     "argument --probe: not allowed with argument --threshold"),
+    (("rhw", "--wave", "3", "2"), "one of the arguments --probe --threshold is required"),
+], ids=["both", "neither"])
+def test_rhw_takes_exactly_one_of_probe_and_threshold(capsys, argv, message):
+    assert usage_error_line(capsys, *argv).endswith(message)
+
+
+def test_any_value_error_from_a_subcommand_is_one_usage_error(capsys, monkeypatch):
+    def reject(a, b):
+        raise ValueError("outside the stated domain")
+
+    monkeypatch.setattr(misiolek.cli, "bracket_expand", reject)
+    line = usage_error_line(capsys, "bracket", "--a", "2", "1", "--b", "3", "-1")
+    assert line.endswith("error: bracket: outside the stated domain")
+
+
+def test_negative_float_flag_in_exponent_form(capsys):
+    code, spaced = run_cli(capsys, "mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "-1e3")
+    assert code == 0
+    assert run_cli(capsys, "mc", "--a", "3", "0", "--b", "2", "1", "--rotation=-1e3") == (0, spaced)
+    assert json.loads(spaced)["request"]["rotation"] == -1000.0
+    code, out = run_cli(capsys, "rhw", "--wave", "3", "2", "--probe", "3", "2", "--A", "-1e-3", "0")
+    assert code == 0
+    record = json.loads(out)
+    assert record["status"] == "ok" and record["request"]["A"] == [-0.001, 0.0]
 
 
 @pytest.mark.parametrize("argv, flag", [

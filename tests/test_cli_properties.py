@@ -30,10 +30,14 @@ harmonics = degrees.flatmap(lambda l: st.tuples(st.just(l), st.integers(-abs(l) 
 floats = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False))
 
 
-def _flag(x: float) -> str:
-    """The exact decimal expansion of a double: argparse reads a leading '-' as a
-    negative number only without an exponent, and the value parses back exactly."""
-    return format(Decimal(x), "f")
+def _flag(x: float, exact_decimal: bool) -> str:
+    """A double written as a flag: its exact decimal expansion, or its shortest
+    repr, which may be in exponent form (-1e-05); both parse back exactly."""
+    return format(Decimal(x), "f") if exact_decimal else repr(x)
+
+
+def flags(values=floats):
+    return st.builds(_flag, values, st.booleans())
 
 
 def _ints(*values: int) -> list:
@@ -45,17 +49,17 @@ wigner3j = st.builds(lambda l, m: ["wigner3j", "--l", *_ints(*l), "--m", *_ints(
 bracket = st.builds(lambda a, b: ["bracket", "--a", *_ints(*a), "--b", *_ints(*b)], harmonics, harmonics)
 mc = st.builds(lambda a, b, verbose: ["mc", "--a", *_ints(*a), "--b", *_ints(*b)] + verbose,
                harmonics, harmonics, st.sampled_from([[], ["--verbose"]]))
-mc_rotating = st.builds(lambda argv, rotation: argv + ["--rotation", _flag(rotation)], mc, floats)
+mc_rotating = st.builds(lambda argv, rotation: argv + ["--rotation", rotation], mc, flags())
 critical_table = st.builds(
     lambda l1, l2_max, fmt: ["critical-table", "--l1", str(l1), "--l2-max", str(l2_max), "--format", fmt],
     degrees, st.integers(-2, 6), st.sampled_from(["csv", "json"]))
 rhw_probe = st.builds(
-    lambda wave, amp, c, k, probe: ["rhw", "--wave", *_ints(*wave), "--A", _flag(amp[0]), _flag(amp[1]),
-                                    "--C", _flag(c), "--K", _flag(k), "--probe", *_ints(*probe)],
-    harmonics, st.tuples(floats, floats), floats, floats, harmonics)
+    lambda wave, amp, c, k, probe: ["rhw", "--wave", *_ints(*wave), "--A", *amp,
+                                    "--C", c, "--K", k, "--probe", *_ints(*probe)],
+    harmonics, st.tuples(flags(), flags()), flags(), flags(), harmonics)
 rhw_threshold = harmonics.flatmap(lambda wave: st.builds(
-    lambda m, k: ["rhw", "--wave", *_ints(*wave), "--threshold", str(m), "--K", _flag(k)],
-    st.integers(-1, abs(wave[1]) + 1), st.one_of(floats, st.floats(0, 100))))
+    lambda m, k: ["rhw", "--wave", *_ints(*wave), "--threshold", str(m), "--K", k],
+    st.integers(-1, abs(wave[1]) + 1), flags(st.one_of(floats, st.floats(0, 100)))))
 
 invocations = st.one_of(wigner3j, bracket, mc, mc_rotating, critical_table, rhw_probe, rhw_threshold)
 

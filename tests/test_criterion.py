@@ -237,6 +237,14 @@ def test_rhw_solution_constructor():
     assert not RHWave(A=1 + 0j, C=1.0, index=H(3, 2), omega=0.123).is_solution()
 
 
+def test_rhw_solution_rejects_a_vanishing_dispersion_denominator():
+    # l(l+1) + alpha2 = 0 leaves no phase speed.
+    with pytest.raises(ValueError, match=r"l\(l\+1\) \+ alpha2 vanishes"):
+        RHWave.solution(A=1 + 0j, C=1.0, index=H(0, 0))
+    with pytest.raises(ValueError):
+        RHWave.solution(A=1 + 0j, C=1.0, index=H(3, 2), alpha2=-12.0)
+
+
 def test_rhw_rejects_zonal_wave():
     wave = RHWave.solution(A=1 + 0j, C=1.0, index=H(3, 0))
     with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from misiolek.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -68,3 +70,17 @@ def test_wave_stability_prints_one_row_per_default_wave(tmp_path):
     assert header.startswith("l1 m1 m K=0 ")
     assert [row.split()[:3] for row in rows] == [
         ["3", "2", "2"], ["5", "3", "2"], ["5", "3", "3"], ["7", "5", "4"]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--steps", "1"], "--steps must be at least 2"),
+    (["--steps", "0"], "--steps must be at least 2"),
+    (["--waves", "3:2:4"], "wave spec '3:2:4': requires 2 <= m <= m1 <= l1"),
+    (["--kmax", "-1"], "wave spec '3:2:2': requires K >= 0"),
+    (["--waves", "3:2:2", "3:2"], "bad wave spec '3:2', expected l1:m1:m"),
+], ids=["steps-1", "steps-0", "order-above-wave", "negative-kmax", "bad-second-spec"])
+def test_wave_stability_rejects_bad_flags_before_printing(tmp_path, argv, message):
+    done = run_script("wave_stability.py", *argv, cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0] and "Traceback" not in done.stderr

@@ -1,5 +1,6 @@
 """Wigner 3j symbols: Racah path, closed forms, recursion, interchange."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from misiolek.suites import (
 from misiolek.wigner import (
     ClosedFormDomainError,
     clebsch_gordan,
+    selection_rules_hold,
     threej_closed_110,
     threej_closed_stretched,
     threej_lm,
@@ -93,6 +95,15 @@ def _valid_tuples(l_max):
                     for m2 in range(-l2, l2 + 1):
                         if abs(m1 + m2) <= l3:
                             yield l1, l2, l3, m1, m2, -(m1 + m2)
+
+
+def test_selection_rules_hold_on_the_valid_tuples_only():
+    valid = set(_valid_tuples(4))
+    box = itertools.product(range(5), range(5), range(5), *[range(-5, 6)] * 3)
+    for indices in box:
+        assert selection_rules_hold(*indices) == (indices in valid), indices
+        if indices not in valid:
+            assert threej_lm(*indices).is_zero(), indices
 
 
 def test_column_swap_and_negation_symmetries():
