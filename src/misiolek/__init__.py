@@ -10,7 +10,6 @@ from .exact import SignedSqrtRational, factorial
 from .structure import BracketExpansion, HarmonicIndex, bracket_expand, g_real, l123
 from .wigner import (
     ClosedFormDomainError,
-    clebsch_gordan,
     threej_closed_110,
     threej_closed_stretched,
     threej_lm,
@@ -28,7 +27,6 @@ from .criterion import (
     mc_combination,
     mc_coriolis,
     mc_flat,
-    mc_symmetry_negate,
     rhw_mc,
     rhw_threshold,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "RHWave",
     "SignedSqrtRational",
     "bracket_expand",
-    "clebsch_gordan",
     "conjugate_time",
     "critical_ratio",
     "critical_table",
@@ -56,7 +53,6 @@ __all__ = [
     "mc_combination",
     "mc_coriolis",
     "mc_flat",
-    "mc_symmetry_negate",
     "rhw_mc",
     "rhw_threshold",
     "threej_closed_110",

@@ -4,7 +4,8 @@ Every computation is a pure function of its flags; output is JSON records
 one per line (or CSV for tables), with exact values serialized losslessly
 as sign/rational/pi-exponent terms and floats in shortest round-trip form.
 Exit codes: 0 success, 1 verification failure, 2 usage error (a flag out of
-its domain, or a finite flag whose result overflows a float).
+its domain, or a finite flag whose result overflows a float), 141 stdout
+closed early by its reader (128 + SIGPIPE), with no traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -201,10 +203,8 @@ def cmd_rhw(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         }, sys.stdout)
         return 0
     probe = _harmonic(parser, *args.probe, what="--probe")
-    amplitude = complex(args.A[0], args.A[1])
     rotation = -args.K * args.C
-    wave = RHWave.solution(A=amplitude, C=args.C, index=wave_index, a=rotation)
-    report = rhw_mc(wave, probe)
+    report = rhw_mc(RHWave(A=tuple(args.A), C=args.C, index=wave_index, a=rotation), probe)
     request = {
         "wave": [l1, m1], "A": [args.A[0], args.A[1]], "C": args.C,
         "K": args.K, "rotation": rotation, "probe": [probe.l, probe.m],
@@ -214,12 +214,13 @@ def cmd_rhw(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads -1e3 as a value like -1 and -1.5 where Python 3.11's argparse sees
-    an option; no option here looks like a number.  Subparsers share the class."""
+    """Reads -1e3, -inf and -nan as values like -1 and -1.5 where Python 3.11's
+    argparse sees an option, so a non-finite flag is rejected as such; no
+    option here looks like a number.  Subparsers share the class."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +282,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(parser, args)
+        code = args.func(parser, args)
+        sys.stdout.flush()  # a closed pipe surfaces here at the latest, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`); what is still buffered goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OverflowError:
         # The exact value is fine but its float is not; the exception text can
         # carry a radicand thousands of digits long, so it is not echoed.

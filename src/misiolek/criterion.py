@@ -74,15 +74,6 @@ class MCValue(Frozen):
     def is_zero(self) -> bool:
         return self.rational == 0 and self.over_pi == 0 and self.root_over_sqrt_pi.is_zero()
 
-    def exact_sign(self) -> int:
-        """Sign when all nonzero components agree; raises on mixed signs."""
-        signs = {s for s in (_sign(self.rational), _sign(self.over_pi), self.root_over_sqrt_pi.sign) if s}
-        if not signs:
-            return 0
-        if len(signs) == 1:
-            return signs.pop()
-        raise ValueError("components of mixed sign; compare via to_float()")
-
     def to_float(self) -> float:
         total = float(self.rational)
         if self.over_pi:
@@ -200,19 +191,15 @@ def mc_flat(a: HarmonicIndex, b: HarmonicIndex) -> MCReport:
     return _report(_flat_summands(a, b))
 
 
-def mc_symmetry_negate(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCReport, MCReport]:
-    """Check MC(a, b) == MC(-a, -b) exactly under global order negation."""
-    left = mc_flat(a, b)
-    right = mc_flat(a.conjugate(), b.conjugate())
-    if left.value != right.value:
-        raise CriterionDefect(f"order-negation symmetry failed for {a}, {b}")
-    return left, right
+def _exact_pair(x: Union[complex, Numeric, Tuple[Numeric, Numeric]]) -> Tuple[Fraction, Fraction]:
+    """(Re x, Im x) as exact Fractions, from a complex, a real or a pair (re, im)."""
+    re, im = x if isinstance(x, tuple) else (x.real, x.imag)
+    return Fraction(re), Fraction(im)
 
 
-def _abs_squared(x: Union[complex, Numeric]) -> Fraction:
-    if isinstance(x, complex):
-        return Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
-    return Fraction(x) ** 2
+def _abs_squared(x: Union[complex, Numeric, Tuple[Numeric, Numeric]]) -> Fraction:
+    re, im = _exact_pair(x)
+    return re * re + im * im
 
 
 def mc_combination(a: HarmonicIndex, base: HarmonicIndex,
@@ -321,9 +308,6 @@ class CriticalRatioTable(Frozen):
             raise KeyError(f"no cell ({l2}, {m2})")
         return self.cells[(l2 - 1) * self.l2_max + m2 - 1]
 
-    def defined_cells(self) -> List[CriticalRatio]:
-        return [c for c in self.cells if c.defined]
-
 
 def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
     """Full ratio grid, rows l2 <= l2_max, columns m2 <= l2_max.
@@ -347,41 +331,32 @@ def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
 
 
 class RHWave(Frozen):
-    """Traveling wave  A*Y_{l1 m1}(lambda - omega*t, mu) - C*mu.
+    """Traveling wave  A*Y_{l1 m1}(lambda - omega*t, mu) - C*mu, held exactly.
 
-    Constructed directly the parameters are unconstrained (tests probe
-    non-solutions deliberately); the `solution` constructor picks the phase
-    speed satisfying the dispersion relation instead, and raises ValueError
-    where l(l+1) + alpha2 vanishes and no phase speed does.
+    The wave is its parameters as exact Fractions: ``A`` as (Re A, Im A),
+    ``C``, ``alpha2`` and the rotation rate ``a``.  ``omega`` follows from
+    the dispersion relation, so l(l+1) + alpha2 = 0 is rejected.
     """
 
-    __slots__ = _fields = ("A", "C", "index", "omega", "alpha2", "a")
+    __slots__ = _fields = ("A", "C", "index", "alpha2", "a")
 
-    def __init__(self, A: complex, C: Numeric, index: HarmonicIndex, omega: float,
-                 alpha2: float = 0.0, a: Numeric = 0.0) -> None:
-        set_A, set_C, set_index, set_omega, set_alpha2, set_a = self._writers
-        set_A(self, A)
-        set_C(self, C)
-        set_index(self, index)
-        set_omega(self, omega)
-        set_alpha2(self, alpha2)
-        set_a(self, a)
-
-    @classmethod
-    def solution(cls, A: complex, C: Numeric, index: HarmonicIndex,
-                 alpha2: float = 0.0, a: Numeric = 0.0) -> "RHWave":
-        spectral = _turn(index.l)
-        if spectral + alpha2 == 0:
+    def __init__(self, A: Union[complex, Numeric, Tuple[Numeric, Numeric]], C: Numeric,
+                 index: HarmonicIndex, alpha2: Numeric = 0, a: Numeric = 0) -> None:
+        alpha2 = Fraction(alpha2)
+        if _turn(index.l) + alpha2 == 0:
             raise ValueError("no phase speed: l(l+1) + alpha2 vanishes")
-        omega = float((spectral - 2) * C + a) / (spectral + alpha2)
-        return cls(A, C, index, omega, alpha2, a)
+        set_A, set_C, set_index, set_alpha2, set_a = self._writers
+        set_A(self, _exact_pair(A))
+        set_C(self, Fraction(C))
+        set_index(self, index)
+        set_alpha2(self, alpha2)
+        set_a(self, Fraction(a))
 
-    def dispersion_residual(self) -> float:
+    @property
+    def omega(self) -> Fraction:
+        """Phase speed from  omega (l(l+1) + alpha2) = (l(l+1) - 2) C + a."""
         spectral = _turn(self.index.l)
-        return self.omega * (spectral + self.alpha2) - float((spectral - 2) * self.C + self.a)
-
-    def is_solution(self, tol: float = 1e-12) -> bool:
-        return abs(self.dispersion_residual()) <= tol
+        return ((spectral - 2) * self.C + self.a) / (spectral + self.alpha2)
 
 
 def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
@@ -389,23 +364,21 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
 
     |A|^2 MC(e_{l1 m1}, e_{l2 m2}) + C^2 m2^2 (2 - l2(l2+1))
     - |A|^2 m1^2 [probe == wave index] - a m2^2 C; the traveling phase drops
-    out since |exp(-i m1 omega t)| = 1.
+    out since |exp(-i m1 omega t)| = 1, and with it omega and alpha2.
     """
     if wave.index.m == 0:
         raise ValueError("wave order m1 must be nonzero")
     amp_sq = _abs_squared(wave.A)
-    zonal = Fraction(wave.C)
-    rotation = Fraction(wave.a)
     m2 = probe.m
     delta = -amp_sq * wave.index.m ** 2 if probe == wave.index else Fraction(0)
-    wave_const = zonal ** 2 * m2 ** 2 * (2 - _turn(probe.l))
-    slope = MCValue(rational=-Fraction(m2 ** 2) * zonal)
+    wave_const = wave.C ** 2 * m2 ** 2 * (2 - _turn(probe.l))
+    slope = MCValue(rational=-Fraction(m2 ** 2) * wave.C)
     p, q = amp_sq.numerator, amp_sq.denominator
     summands = tuple(
         MCSummand.reduced(s.l3, s.num * p, s.den * q, s.weight)
         for s in _flat_summands(wave.index, probe)
     )
-    return _report(summands, delta=delta, slope=slope, rotation=rotation,
+    return _report(summands, delta=delta, slope=slope, rotation=wave.a,
                    extra_const=wave_const)
 
 
@@ -437,11 +410,6 @@ def conjugate_time(kappa: float, v_norm: float) -> float:
     if kappa <= 0 or v_norm <= 0:
         raise ValueError("kappa and |v| must be positive")
     return math.pi / math.sqrt(kappa * v_norm)
-
-
-def harmonic_velocity_norm(idx: HarmonicIndex) -> float:
-    """L2 norm of the velocity field of Y_{lm}: |e_{lm}|^2 = l(l+1)."""
-    return math.sqrt(_turn(idx.l))
 
 
 def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fraction]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from math import gcd
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Tuple, Union
 
@@ -106,7 +106,6 @@ class Frozen:
         return (type(self), self._values)
 
 
-@total_ordering
 class SignedSqrtRational(Frozen):
     """Exact value ``sign * sqrt(num/den)`` with integers ``num >= 0``, ``den > 0``.
 
@@ -206,13 +205,6 @@ class SignedSqrtRational(Frozen):
 
     def to_float(self) -> float:
         return self.sign * _sqrt_ratio_to_float(self.num, self.den)
-
-    def __lt__(self, other: "SignedSqrtRational") -> bool:
-        if self.sign != other.sign:
-            return self.sign < other.sign
-        if self.sign >= 0:
-            return self.num * other.den < other.num * self.den
-        return self.num * other.den > other.num * self.den
 
     def __str__(self) -> str:
         if self.sign == 0:

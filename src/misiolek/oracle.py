@@ -76,11 +76,6 @@ def _norm_coeff(l: int, m: int) -> float:
     return phase * math.sqrt((2 * l + 1) * ratio / (4.0 * math.pi))
 
 
-def ylm_eval(idx: HarmonicIndex, lam: ArrayLike, mu: ArrayLike) -> complex:
-    """Complex spherical harmonic C^m_l P^{|m|}_l(mu) e^{i m lambda}."""
-    return _norm_coeff(idx.l, idx.m) * legendre_p(idx.l, abs(idx.m), mu) * np.exp(1j * idx.m * np.asarray(lam))
-
-
 class GridFunction:
     """Complex samples on a grid with analytic derivative fields alongside.
 
@@ -174,15 +169,6 @@ class QuadratureGrid:
             bracket = poisson_bracket(self._cached(l1, m1), self._cached(l2, m2))
             self._bracket = (key, bracket.values.ravel())
         return self._bracket[1]
-
-    def mu_field(self) -> GridFunction:
-        """The coordinate function mu with its trivial derivatives."""
-        ones = np.ones((len(self.mu), len(self.lam)))
-        return GridFunction(
-            values=self.mu[:, None] * np.ones(len(self.lam))[None, :] + 0j,
-            d_lam=np.zeros_like(ones, dtype=complex),
-            d_mu=ones.astype(complex),
-        )
 
 
 def _dual(g: GridFunction) -> np.ndarray:

@@ -35,10 +35,6 @@ class HarmonicIndex(Frozen):
         set_l(self, l)
         set_m(self, m)
 
-    @property
-    def laplacian_eigenvalue(self) -> int:
-        return -self.l * (self.l + 1)
-
     def conjugate(self) -> "HarmonicIndex":
         return HarmonicIndex(self.l, -self.m)
 
@@ -128,10 +124,6 @@ class BracketExpansion(Frozen):
         set_input2(self, input2)
         set_terms(self, terms)
         set_by_degree(self, {t.l3: t for t in terms})
-
-    @property
-    def output_order(self) -> int:
-        return self.input1.m + self.input2.m
 
     def term(self, l3: int) -> BracketTerm:
         t = self._by_degree.get(l3)

@@ -212,8 +212,3 @@ def threej_recursive_112(l1: int, l2: int, l3: int) -> SignedSqrtRational:
     base = threej_closed_110(l2, l3, l1).scale(turn2 - turn1)
     return base * SignedSqrtRational.sqrt(Fraction(1, turn1 * (turn3 - 2)))
 
-
-def clebsch_gordan(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRational:
-    """Clebsch-Gordan coefficient C^{l3 m3}_{l1 m1 l2 m2} from the 3j symbol."""
-    base = threej_lm(l1, l2, l3, -m1, -m2, m3)
-    return base.scale(_parity(l3 + m3)) * SignedSqrtRational.sqrt(2 * l3 + 1)

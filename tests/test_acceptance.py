@@ -159,7 +159,7 @@ def test_criterion_8_rhw_identities():
     for K, C in ((2.0, 1.0), (0.5, -1.5), (3.25, 0.8)):
         # the identity presumes the rate is exactly -K*C, so form it exactly
         rate = -Fraction(K) * Fraction(C)
-        wave = RHWave.solution(A=0.3 + 0.4j, C=C, index=H(3, 2), a=rate)
+        wave = RHWave(A=0.3 + 0.4j, C=C, index=H(3, 2), a=rate)
         for m2 in (-1, 1):
             report = rhw_mc(wave, H(1, m2))
             assert report.value.over_pi == 0
@@ -170,7 +170,7 @@ def test_criterion_8_rhw_identities():
             assert threshold > 0
             for eps, positive in ((1e-6, True), (-1e-6, False)):
                 amp = math.sqrt(threshold * (1 + eps))
-                wave = RHWave(A=complex(amp, 0), C=1.0, index=H(l1, m1), omega=0.0, a=-K)
+                wave = RHWave(A=amp, C=1.0, index=H(l1, m1), a=-K)
                 value = rhw_mc(wave, H(m, -m)).value_float
                 assert (value > 0) == positive, (l1, m1, m, K, eps, value)
     _report(8, "wave criterion equals K C^2 exactly for degree-one probes and "

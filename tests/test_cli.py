@@ -6,8 +6,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from misiolek.exact import SignedSqrtRational
 from misiolek.structure import HarmonicIndex
 from misiolek.suites import SUITE_NAMES, run_suite, structure_suite, suite_cap, wigner_suite
 from misiolek.wigner import selection_rules_hold, threej_lm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -155,10 +160,10 @@ def test_rhw_zero_amplitude_record(capsys):
     (("wigner3j", "--l", "-1", "2", "3", "--m", "0", "0", "0"), lambda: threej_lm(-1, 2, 3, 0, 0, 0)),
     (("mc", "--a", "0", "0", "--b", "2", "1"), lambda: mc_flat(HarmonicIndex(0, 0), HarmonicIndex(2, 1))),
     (("rhw", "--wave", "3", "0", "--probe", "2", "1"),
-     lambda: rhw_mc(RHWave.solution(A=0j, C=1.0, index=HarmonicIndex(3, 0)), HarmonicIndex(2, 1))),
+     lambda: rhw_mc(RHWave(A=0, C=1, index=HarmonicIndex(3, 0)), HarmonicIndex(2, 1))),
     (("rhw", "--wave", "3", "0", "--threshold", "2"), lambda: rhw_threshold(3, 0, 2)),
     (("rhw", "--wave", "0", "0", "--probe", "1", "1"),
-     lambda: RHWave.solution(A=0j, C=1.0, index=HarmonicIndex(0, 0))),
+     lambda: RHWave(A=0, C=1, index=HarmonicIndex(0, 0))),
 ], ids=["negative-degree", "degree-zero", "zonal-wave-probe", "zonal-wave-threshold", "no-phase-speed"])
 def test_library_domain_error_is_usage_error(capsys, argv, call):
     # The CLI states none of these rules; the library's own text reaches stderr.
@@ -200,6 +205,12 @@ def test_negative_float_flag_in_exponent_form(capsys):
     (("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "nan"), "--rotation"),
     (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--C", "inf"), "--C"),
     (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--A", "nan", "0"), "--A"),
+    # Negative non-finite values are read as values too, not as options.
+    (("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "-inf"), "--rotation"),
+    (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--K", "-nan"), "--K"),
+    (("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "-Infinity"), "--K"),
+    (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--A", "0", "-NaN"), "--A"),
+    (("rhw", "--wave", "3", "2", "--probe", "1", "1", "--C", "-INF"), "--C"),
 ])
 def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
     assert run_cli_expect_usage_error(*argv) == 2
@@ -231,6 +242,23 @@ def test_large_finite_rotation_with_finite_result_is_a_record(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["status"] == "ok" and math.isfinite(record["float"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "table"),
+    ("critical-table", "--l1", "3", "--l2-max", "60"),
+], ids=["verify", "critical-table"])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes a byte
+    try:
+        done = subprocess.run([sys.executable, "-m", "misiolek.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    finally:
+        os.close(write_end)
+    # 141, never 1: a closed pipe is not a failed verification.
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_critical_table_csv(capsys, tmp_path):

@@ -3,7 +3,9 @@
 Each invocation runs ``cli.main`` in process.  It either exits 0 and prints
 records whose float equals the value of their exact terms, or exits 2 with
 one usage line, one error line and empty stdout.  It never exits 1 and never
-raises.
+raises.  Every generated float is finite, so the parser takes each as a
+value: an error line that reads "expected one argument" would be a valid
+flag refused by the parser rather than a domain rule of the library.
 """
 
 import contextlib
@@ -131,5 +133,7 @@ def test_every_invocation_is_a_record_or_a_usage_error(argv):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert lines[0].startswith("usage: ") and "Traceback" not in err.getvalue(), argv
-        assert len([line for line in lines if "error:" in line]) == 1, argv
+        errors = [line for line in lines if "error:" in line]
+        assert len(errors) == 1, argv
+        assert not any(text in errors[0] for text in ("expected one argument", "expected 2 arguments")), argv
 

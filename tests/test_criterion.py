@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,16 +20,15 @@ from misiolek.criterion import (
     coriolis_slope,
     critical_ratio,
     critical_table,
-    harmonic_velocity_norm,
     mc_combination,
     mc_coriolis,
     mc_flat,
-    mc_symmetry_negate,
     positivity_chain,
     rhw_mc,
     rhw_threshold,
 )
 from misiolek.exact import SignedSqrtRational
+from misiolek.oracle import QuadratureGrid
 from misiolek.structure import HarmonicIndex as H
 from misiolek.suites import theorem_suite
 
@@ -44,10 +44,6 @@ def test_mc_value_algebra():
     assert v.scale(2).rational == 4
     assert v.scale(2).root_over_sqrt_pi == SignedSqrtRational.of(1, 9)
     assert v.to_float() == pytest.approx(2 - 3 / math.pi + 1.5 / math.sqrt(math.pi), rel=1e-15)
-    with pytest.raises(ValueError):
-        v.exact_sign()
-    assert MCValue(over_pi=Fraction(-5)).exact_sign() == -1
-    assert MCValue().exact_sign() == 0
 
 
 def test_mc_flat_probe_degree_one_vanishes():
@@ -94,10 +90,14 @@ def test_mc_report_decomposition_consistency():
     assert float_ulps(report.value_float, float(report.flat_over_pi) / math.pi) <= 4
 
 
+def assert_order_negation_symmetric(a, b):
+    """MC(a, b) == MC(-a, -b) exactly under global order negation."""
+    assert mc_flat(a, b).value == mc_flat(a.conjugate(), b.conjugate()).value, (a, b)
+
+
 def test_mc_symmetry_negate():
     for a, b in (((3, 2), (2, -2)), ((5, 1), (4, 1)), ((4, 0), (3, 0))):
-        left, right = mc_symmetry_negate(H(*a), H(*b))
-        assert left.value == right.value
+        assert_order_negation_symmetric(H(*a), H(*b))
 
 
 def test_mc_combination_reductions():
@@ -220,7 +220,7 @@ def test_critical_table_degree_one_flow():
 def test_critical_table_shape_and_signs():
     table = critical_table(3, l2_max=5)
     assert len(table.cells) == 25
-    defined = table.defined_cells()
+    defined = [c for c in table.cells if c.defined]
     assert len(defined) == 14
     for cell in defined:
         assert (cell.direction == ">") == (cell.value >= 0)
@@ -232,21 +232,49 @@ def test_critical_table_shape_and_signs():
 
 
 def test_rhw_solution_constructor():
-    wave = RHWave.solution(A=1 + 2j, C=0.5, index=H(3, 2), alpha2=1.5, a=-0.25)
-    assert wave.is_solution()
-    assert not RHWave(A=1 + 0j, C=1.0, index=H(3, 2), omega=0.123).is_solution()
+    # Every wave is a solution: omega satisfies the dispersion relation
+    # omega (l(l+1) + alpha2) = (l(l+1) - 2) C + a with exact equality.
+    for alpha2, a in ((Fraction(3, 2), -0.25), (0, Fraction(7, 3)), (-11.5, 2)):
+        wave = RHWave(A=1 + 2j, C=0.5, index=H(3, 2), alpha2=alpha2, a=a)
+        assert type(wave.omega) is Fraction
+        assert wave.omega * (12 + Fraction(alpha2)) == 10 * Fraction(1, 2) + Fraction(a)
+    assert RHWave(A=1, C=1, index=H(1, 1)).omega == 0  # l(l+1) = 2: the C term vanishes
+    assert RHWave(A=1, C=1, index=H(3, 2), a=2).omega == 1
 
 
 def test_rhw_solution_rejects_a_vanishing_dispersion_denominator():
     # l(l+1) + alpha2 = 0 leaves no phase speed.
-    with pytest.raises(ValueError, match=r"l\(l\+1\) \+ alpha2 vanishes"):
-        RHWave.solution(A=1 + 0j, C=1.0, index=H(0, 0))
-    with pytest.raises(ValueError):
-        RHWave.solution(A=1 + 0j, C=1.0, index=H(3, 2), alpha2=-12.0)
+    with pytest.raises(ValueError, match=r"no phase speed: l\(l\+1\) \+ alpha2 vanishes"):
+        RHWave(A=1 + 0j, C=1.0, index=H(0, 0))
+    with pytest.raises(ValueError, match="no phase speed"):
+        RHWave(A=1 + 0j, C=1.0, index=H(3, 2), alpha2=-12.0)
+    with pytest.raises(ValueError, match="no phase speed"):
+        RHWave(A=1 + 0j, C=1.0, index=H(2, 1), alpha2=Fraction(-6))
+
+
+def test_rhw_wave_is_exact_parameters():
+    # Float input converts exactly, so a float wave and its Fraction twin are
+    # one value and give one report; no field holds a float.
+    floats = RHWave(A=0.1 - 0.75j, C=0.3, index=H(4, 3), alpha2=0.5, a=-1.25)
+    twin = RHWave(A=(Fraction(0.1), Fraction(-3, 4)), C=Fraction(0.3), index=H(4, 3),
+                  alpha2=Fraction(1, 2), a=Fraction(-5, 4))
+    assert floats == twin and floats.A == (Fraction(0.1), Fraction(-3, 4))
+    assert all(type(x) is Fraction for x in (*floats.A, floats.C, floats.alpha2, floats.a))
+    assert RHWave(A=3, C=1, index=H(2, 1)).A == (3, 0)
+    for probe in (H(4, 3), H(2, -2), H(1, 1), H(5, 0)):
+        assert rhw_mc(floats, probe) == rhw_mc(twin, probe)
+
+
+def test_rhw_alpha2_drops_out_of_the_criterion():
+    still = RHWave(A=1 - 2j, C=Fraction(3, 4), index=H(5, 3), a=Fraction(-1, 2))
+    deformed = RHWave(A=1 - 2j, C=Fraction(3, 4), index=H(5, 3), alpha2=Fraction(7, 3), a=Fraction(-1, 2))
+    assert still.omega != deformed.omega
+    for probe in (H(5, 3), H(3, -3), H(4, 1), H(1, -1), H(6, 0)):
+        assert rhw_mc(still, probe) == rhw_mc(deformed, probe)
 
 
 def test_rhw_rejects_zonal_wave():
-    wave = RHWave.solution(A=1 + 0j, C=1.0, index=H(3, 0))
+    wave = RHWave(A=1 + 0j, C=1.0, index=H(3, 0))
     with pytest.raises(ValueError):
         rhw_mc(wave, H(2, 1))
 
@@ -255,7 +283,7 @@ def test_rhw_degree_one_probe_gives_k_c_squared():
     # probe e_{1 m2} with a = -K C: exactly K C^2 for |m2| = 1; the rate is
     # formed as an exact product so the identity is not lost to rounding
     for K, C in ((2.0, 1.0), (0.75, 0.7), (3.0, -1.25)):
-        wave = RHWave.solution(A=1 + 1j, C=C, index=H(3, 2), a=-Fraction(K) * Fraction(C))
+        wave = RHWave(A=1 + 1j, C=C, index=H(3, 2), a=-Fraction(K) * Fraction(C))
         for m2 in (-1, 1):
             report = rhw_mc(wave, H(1, m2))
             assert report.value.over_pi == 0
@@ -265,7 +293,7 @@ def test_rhw_degree_one_probe_gives_k_c_squared():
 
 def test_rhw_zonal_only_wave_part():
     # A = 0, a = 0: C^2 m2^2 (2 - l2(l2+1))
-    wave = RHWave(A=0j, C=1.0, index=H(3, 2), omega=0.0)
+    wave = RHWave(A=0j, C=1.0, index=H(3, 2))
     report = rhw_mc(wave, H(4, 2))
     assert report.value.rational == -72
     assert report.value.over_pi == 0
@@ -273,7 +301,7 @@ def test_rhw_zonal_only_wave_part():
 
 
 def test_rhw_self_probe_penalty_term():
-    wave = RHWave(A=2 + 0j, C=0.0, index=H(3, 2), omega=0.0)
+    wave = RHWave(A=2 + 0j, C=0.0, index=H(3, 2))
     report = rhw_mc(wave, H(3, 2))
     assert report.delta_term == -16
     assert report.value.rational == -16
@@ -282,8 +310,8 @@ def test_rhw_self_probe_penalty_term():
 def test_rhw_coriolis_gain_is_exact():
     # a = -K C exceeds the flat wave criterion by exactly K m2^2 C^2
     for (l1, m1), (l2, m2), K, C in (((3, 2), (2, -2), 1.5, 2.0), ((5, 3), (3, -3), 4.0, 0.5)):
-        still = RHWave(A=1 + 0j, C=C, index=H(l1, m1), omega=0.0, a=0.0)
-        spun = RHWave(A=1 + 0j, C=C, index=H(l1, m1), omega=0.0, a=-K * C)
+        still = RHWave(A=1 + 0j, C=C, index=H(l1, m1), a=0.0)
+        spun = RHWave(A=1 + 0j, C=C, index=H(l1, m1), a=-K * C)
         gain = rhw_mc(spun, H(l2, m2)).value.rational - rhw_mc(still, H(l2, m2)).value.rational
         assert gain == Fraction(K) * m2 ** 2 * Fraction(C) ** 2
 
@@ -314,7 +342,7 @@ def test_rhw_threshold_separates_signs(l1, m1, m):
         threshold = rhw_threshold(l1, m1, m, K=K)
         for eps, positive in ((1e-6, True), (-1e-6, False)):
             amp = math.sqrt(threshold * (1 + eps))
-            wave = RHWave(A=complex(amp, 0), C=1.0, index=H(l1, m1), omega=0.0, a=-K)
+            wave = RHWave(A=amp, C=1.0, index=H(l1, m1), a=-K)
             value = rhw_mc(wave, H(m, -m)).value_float
             assert (value > 0) == positive
 
@@ -330,8 +358,16 @@ def test_conjugate_time():
 
 
 def test_harmonic_velocity_norm():
-    assert harmonic_velocity_norm(H(3, 2)) == pytest.approx(math.sqrt(12))
-    assert harmonic_velocity_norm(H(1, 0)) == pytest.approx(math.sqrt(2))
+    # |e_lm|^2 = integral of |grad Y_lm|^2 = l(l+1), from the grid's analytic
+    # derivative fields; the integrand is a polynomial the grid integrates exactly.
+    grid = QuadratureGrid.for_degree(6)
+    s2 = (1 - grid.mu ** 2)[:, None]
+    dA = grid.mu_weights[:, None] * grid.lam_weight
+    for l in range(1, 7):
+        for m in range(-l, l + 1):
+            y = grid.harmonic(H(l, m))
+            energy = np.sum((s2 * np.abs(y.d_mu) ** 2 + np.abs(y.d_lam) ** 2 / s2) * dA)
+            assert energy == pytest.approx(l * (l + 1), rel=1e-12), (l, m)
 
 
 def test_positivity_chain_monotone_instances():
@@ -385,8 +421,7 @@ def test_scan_exclusions_hold():
 def test_order_negation_symmetry_property(l1, m1, l2, m2):
     if abs(m1) > l1 or abs(m2) > l2:
         return
-    left, right = mc_symmetry_negate(H(l1, m1), H(l2, m2))
-    assert left.value == right.value
+    assert_order_negation_symmetric(H(l1, m1), H(l2, m2))
 
 
 @settings(max_examples=40, deadline=None)

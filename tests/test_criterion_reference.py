@@ -111,25 +111,28 @@ def test_mc_coriolis_equals_rational_reference():
                 assert_matches(mc_coriolis(a, b, rotation), want, (a, b, rotation))
 
 
+#: Wave parameters (A, C, index, a) as given; the reference reads them, not the wave.
 WAVES = (
-    RHWave(1.5, Fraction(1, 2), HarmonicIndex(4, 2), 0.0, a=Fraction(-1, 3)),
-    RHWave(2 - 1j, 3, HarmonicIndex(5, 3), 0.0, a=2),
-    RHWave(0.25j, -1, HarmonicIndex(3, -1), 0.0, a=0.5),
-    RHWave(0, 1, HarmonicIndex(4, 4), 0.0, a=1),
+    (1.5, Fraction(1, 2), HarmonicIndex(4, 2), Fraction(-1, 3)),
+    (2 - 1j, 3, HarmonicIndex(5, 3), 2),
+    (0.25j, -1, HarmonicIndex(3, -1), 0.5),
+    (0, 1, HarmonicIndex(4, 4), 1),
 )
 
 
 @pytest.mark.parametrize("wave", WAVES)
 def test_rhw_mc_equals_rational_reference(wave):
-    amp_sq = _abs_squared(wave.A)
-    zonal = Fraction(wave.C)
+    A, C, index, a = wave
+    wave = RHWave(A, C, index, a=a)
+    amp_sq = _abs_squared(A)
+    zonal = Fraction(C)
     for probe in _indices(6):
         m2 = probe.m
         summands = [(l3, g_sq * amp_sq, weight)
                     for l3, g_sq, weight in reference_summands(wave.index, probe)]
         delta = -amp_sq * wave.index.m ** 2 if probe == wave.index else Fraction(0)
         want = reference_report(summands, delta=delta, slope=MCValue(rational=-Fraction(m2 ** 2) * zonal),
-                                rotation=Fraction(wave.a),
+                                rotation=Fraction(a),
                                 extra_const=zonal ** 2 * m2 ** 2 * (2 - _turn(probe.l)))
         assert_matches(rhw_mc(wave, probe), want, (wave, probe))
 

@@ -69,12 +69,6 @@ def test_ssr_from_rational_and_square():
     assert SSR.from_rational(2) * SSR.from_rational(3) == SSR.from_rational(6)
 
 
-def test_ssr_ordering():
-    values = [SSR.of(-1, 9), SSR.of(-1, 1), SSR.zero(), SSR.of(1, Fraction(1, 4)), SSR.of(1, 2)]
-    assert sorted(values) == values
-    assert SSR.of(-1, 9) < SSR.of(-1, 1)
-
-
 def test_sqrt_to_float_huge_operands():
     # numerator and denominator both overflow doubles; the quotient does not
     big = Fraction(factorial(200), factorial(198)) ** 10  # (200*199)**10

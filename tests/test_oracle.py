@@ -9,11 +9,11 @@ import pytest
 from misiolek.oracle import (
     GridFunction,
     QuadratureGrid,
+    _norm_coeff,
     legendre_p,
     legendre_p_deriv,
     oracle_structure_coeff,
     poisson_bracket,
-    ylm_eval,
 )
 from misiolek.structure import HarmonicIndex, bracket_expand
 from misiolek.suites import oracle_suite
@@ -22,6 +22,13 @@ from misiolek.suites import oracle_suite
 @pytest.fixture(scope="module")
 def grid():
     return QuadratureGrid.for_degree(6)
+
+
+def mu_field(grid):
+    """The coordinate function mu on the grid, with its trivial derivatives."""
+    shape = (len(grid.mu), len(grid.lam))
+    return GridFunction(values=np.broadcast_to(grid.mu[:, None], shape) + 0j,
+                        d_lam=np.zeros(shape, dtype=complex), d_mu=np.ones(shape, dtype=complex))
 
 
 def integrate_reference(grid, values):
@@ -55,18 +62,23 @@ def test_legendre_derivative_matches_finite_differences():
         assert np.allclose(legendre_p_deriv(l, m, mus), numeric, rtol=1e-6, atol=1e-5)
 
 
-def test_ylm_constant_mode():
-    assert ylm_eval(HarmonicIndex(0, 0), 0.3, 0.7) == pytest.approx(math.sqrt(1 / (4 * math.pi)))
+def test_ylm_constant_mode(grid):
+    assert np.allclose(grid.harmonic(HarmonicIndex(0, 0)).values, math.sqrt(1 / (4 * math.pi)),
+                       rtol=1e-15, atol=0)
 
 
 def test_high_orders_fail_loudly():
     # (l-m)!/(l+m)! is a normal double up to l = m = 85 and subnormal from 86 on;
     # at 150 it used to underflow to 0.0 and the harmonic silently read 0.
-    assert math.isfinite(abs(ylm_eval(HarmonicIndex(85, 85), 0.0, 0.0)))
-    assert ylm_eval(HarmonicIndex(85, 85), 0.0, 0.0) != 0
+    assert _norm_coeff(85, 85) != 0 and math.isfinite(_norm_coeff(85, 85))
+    wide = QuadratureGrid.for_degree(150)
+    values = wide.harmonic(HarmonicIndex(85, 85)).values
+    assert np.all(np.isfinite(values)) and np.abs(values).max() > 0
     for l in (86, 150):
         with pytest.raises(OverflowError):
-            ylm_eval(HarmonicIndex(l, l), 0.0, 0.0)
+            _norm_coeff(l, l)
+        with pytest.raises(OverflowError):
+            wide.harmonic(HarmonicIndex(l, l))
     # (2m-1)!! overflows from m = 151 at the equator; it used to give inf, then nan.
     assert np.all(np.isfinite(legendre_p(150, 150, np.array([0.0, 0.5]))))
     for m in (151, 155):
@@ -83,16 +95,13 @@ def test_ylm_normalization_on_grid(grid):
             assert grid.pair_conjugated(y, y) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ylm_conjugation_identity():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        l = int(rng.integers(0, 7))
-        m = int(rng.integers(-l, l + 1)) if l else 0
-        lam = rng.uniform(0, 2 * math.pi)
-        mu = rng.uniform(-0.95, 0.95)
-        lhs = np.conj(ylm_eval(HarmonicIndex(l, m), lam, mu))
-        rhs = (-1) ** m * ylm_eval(HarmonicIndex(l, -m), lam, mu)
-        assert abs(lhs - rhs) < 1e-13
+def test_ylm_conjugation_identity(grid):
+    # Y*_{lm} = (-1)^m Y_{l,-m} at every node of the grid.
+    for l in range(7):
+        for m in range(-l, l + 1):
+            lhs = np.conj(grid.harmonic(HarmonicIndex(l, m)).values)
+            rhs = (-1) ** m * grid.harmonic(HarmonicIndex(l, -m)).values
+            assert np.abs(lhs - rhs).max() < 1e-13, (l, m)
 
 
 def test_unconjugated_pairing_identity(grid):
@@ -137,7 +146,7 @@ def test_dual_pairings_match_2d_quadrature(grid):
 def test_pairings_require_a_grid_harmonic_second(grid):
     y = grid.harmonic(HarmonicIndex(2, 1))
     bracket = poisson_bracket(y, grid.harmonic(HarmonicIndex(3, -1)))
-    for second in (bracket, grid.mu_field()):
+    for second in (bracket, mu_field(grid)):
         with pytest.raises(ValueError):
             grid.pair_conjugated(y, second)
         with pytest.raises(ValueError):
@@ -157,7 +166,7 @@ def test_bracket_antisymmetry_pointwise(grid):
 
 
 def test_bracket_with_mu_is_azimuthal_derivative(grid):
-    mu = grid.mu_field()
+    mu = mu_field(grid)
     for l, m in ((3, 2), (5, -4), (2, 0), (6, 6)):
         y = grid.harmonic(HarmonicIndex(l, m))
         bracket = poisson_bracket(mu, y)

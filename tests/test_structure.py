@@ -29,7 +29,6 @@ SSR = SignedSqrtRational
 
 def test_harmonic_index_validation():
     idx = HarmonicIndex(3, -2)
-    assert idx.laplacian_eigenvalue == -12
     assert idx.conjugate() == HarmonicIndex(3, 2)
     with pytest.raises(ValueError):
         HarmonicIndex(2, 3)
@@ -170,7 +169,7 @@ def test_bracket_zero_degree_input():
 def test_bracket_band_and_parity():
     expansion = bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -1))
     assert expansion.degrees() == [2, 4]  # range [2, 4], parity excludes 3
-    assert expansion.output_order == 0
+    assert all(term.m3 == 0 for term in expansion)  # m3 = m1 + m2
     for term in expansion:
         assert (2 + 3 + term.l3) % 2 == 1
 

@@ -50,8 +50,9 @@ EXAMPLES = {
     MCReport: (mc_coriolis(HarmonicIndex(3, 0), HarmonicIndex(2, 1), Fraction(5)), None),
     CriticalRatio: (critical_ratio(3, 2, 1), None),
     CriticalRatioTable: (critical_table(3, l2_max=2), None),
-    RHWave: (RHWave.solution(A=1 + 2j, C=Fraction(1, 2), index=HarmonicIndex(3, 2), a=Fraction(-1, 3)),
-             None),
+    RHWave: (RHWave(A=1 + 2j, C=0.5, index=HarmonicIndex(3, 2), a=Fraction(-1, 3)),
+             "RHWave(A=(Fraction(1, 1), Fraction(2, 1)), C=Fraction(1, 2), "
+             "index=HarmonicIndex(l=3, m=2), alpha2=Fraction(0, 1), a=Fraction(-1, 3))"),
 }
 
 

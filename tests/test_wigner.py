@@ -1,4 +1,4 @@
-"""Wigner 3j symbols: Racah path, closed forms, recursion, interchange."""
+"""Wigner 3j symbols: Racah path, closed forms, recursion, check blocks."""
 
 import itertools
 from fractions import Fraction
@@ -17,7 +17,6 @@ from misiolek.suites import (
 )
 from misiolek.wigner import (
     ClosedFormDomainError,
-    clebsch_gordan,
     selection_rules_hold,
     threej_closed_110,
     threej_closed_stretched,
@@ -59,6 +58,10 @@ def test_known_values():
     assert threej_lm(4, 5, 6, 1, 0, -1).radicand == Fraction(4, 429)
     assert threej_lm(4, 5, 6, 1, 0, -1).sign == -1
     assert threej_lm(0, 0, 0, 0, 0, 0) == SSR.of(1, 1)
+    for l in range(1, 5):
+        # (l l 0; m -m 0) = (-1)^(l-m) / sqrt(2l+1)
+        for m in range(-l, l + 1):
+            assert threej_lm(l, l, 0, m, -m, 0) == SSR.of((-1) ** (l - m), Fraction(1, 2 * l + 1))
 
 
 def test_selection_rule_zeros():
@@ -184,30 +187,6 @@ def test_recursive_112_full_domain():
                 if (l1 + l2 + l3) % 2 == 0:
                     continue
                 assert threej_recursive_112(l1, l2, l3) == threej_lm(l1, l2, l3, 1, 1, -2)
-
-
-def test_clebsch_gordan_selection_rule():
-    assert clebsch_gordan(2, 1, 2, 0, 3, 0).is_zero()  # m3 != m1 + m2
-    assert clebsch_gordan(2, 1, 2, 0, 3, 2).is_zero()  # also zero: 2 != 1
-
-
-def test_clebsch_gordan_examples():
-    want = threej_lm(1, 1, 2, 0, 0, 0).scale(2 * 2 + 1) * SSR.sqrt(Fraction(1, 5))
-    assert clebsch_gordan(1, 0, 1, 0, 2, 0) == want
-    for l1 in range(1, 5):
-        value = clebsch_gordan(l1, l1, l1, -l1, 0, 0)
-        assert value.radicand == Fraction(1, 2 * l1 + 1)
-
-
-def test_clebsch_gordan_unitarity_row():
-    # sum over (m1, m2) with m1 + m2 = m3 of C^2 at fixed (l3, m3) is 1
-    for l3 in range(1, 5):
-        total = Fraction(0)
-        for m1 in range(-2, 3):
-            m2 = 1 - m1
-            if abs(m2) <= 2:
-                total += clebsch_gordan(2, m1, 2, m2, l3, 1).radicand
-        assert total == 1
 
 
 @settings(max_examples=200)
