@@ -2,8 +2,10 @@
 """Digest of the CLI's stdout over the benchmark query corpora and every verify suite.
 
 Runs ``python -m misiolek.cli`` once per query of the corpus that
-``bench/corpus.make_corpus`` builds for each seed, then once per suite as
-``verify --suite NAME``.  Prints one line per invocation (the sha256 of its
+``bench/corpus.make_corpus`` builds for each seed, each followed by its twin
+through the other writer, if it has one: ``--verbose`` for ``mc`` and
+``rhw --probe``, ``--format csv`` for ``critical-table``.  Then it runs once
+per suite as ``verify --suite NAME``.  Prints one line per invocation (the sha256 of its
 stdout, its exit code and its arguments) and last a sha256 over all those
 lines.  Two packages give the same total exactly when every invocation wrote
 byte-identical stdout and exited with the same code:
@@ -20,6 +22,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from typing import List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -28,6 +31,16 @@ from corpus import make_corpus  # noqa: E402
 
 #: The choices of ``misiolek verify --suite``.
 SUITES = ("wigner", "structure", "oracle", "theorem", "table")
+
+
+def twins(argv: List[str]) -> List[List[str]]:
+    """The query again through its other writer, or nothing if it has none."""
+    if argv[0] == "mc" or (argv[0] == "rhw" and "--probe" in argv):
+        return [argv + ["--verbose"]]
+    if argv[0] == "critical-table":
+        i = argv.index("--format") + 1
+        return [argv[:i] + ["csv"] + argv[i + 1:]]
+    return []
 
 
 def main() -> int:
@@ -39,7 +52,8 @@ def main() -> int:
     args = parser.parse_args()
 
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
-    invocations = [argv for seed in args.seeds for _, argv in make_corpus(seed)]
+    invocations = [run for seed in args.seeds for _, argv in make_corpus(seed)
+                   for run in [argv] + twins(argv)]
     invocations += [["verify", "--suite", name] for name in SUITES]
     total = hashlib.sha256()
     for argv in invocations:

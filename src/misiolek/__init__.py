@@ -7,7 +7,7 @@ re-derives every structure constant from pointwise Poisson brackets.
 """
 
 from .exact import SignedSqrtRational, factorial
-from .structure import BracketExpansion, HarmonicIndex, bracket_expand, g_real, l123
+from .structure import HarmonicIndex, bracket_expand, g_real
 from .wigner import (
     ClosedFormDomainError,
     threej_closed_110,
@@ -17,7 +17,6 @@ from .wigner import (
 )
 from .criterion import (
     CriticalRatio,
-    CriticalRatioTable,
     MCReport,
     MCValue,
     RHWave,
@@ -34,10 +33,8 @@ from .criterion import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BracketExpansion",
     "ClosedFormDomainError",
     "CriticalRatio",
-    "CriticalRatioTable",
     "HarmonicIndex",
     "MCReport",
     "MCValue",
@@ -49,7 +46,6 @@ __all__ = [
     "critical_table",
     "factorial",
     "g_real",
-    "l123",
     "mc_combination",
     "mc_coriolis",
     "mc_flat",

@@ -57,11 +57,12 @@ def _mc_value_json(value: MCValue) -> List[dict]:
 
 
 def _mc_record(request: dict, report: MCReport, verbose: bool) -> dict:
+    value = report.value
     record = {
         "request": request,
         "status": "ok",
-        "exact": _mc_value_json(report.value),
-        "float": report.value_float,
+        "exact": _mc_value_json(value),
+        "float": value.to_float(),
     }
     if verbose:
         record["summands"] = [
@@ -69,7 +70,8 @@ def _mc_record(request: dict, report: MCReport, verbose: bool) -> dict:
              "pi_exp": -1, "weight": s.weight}
             for s in report.summands
         ]
-        record["delta_term"] = str(report.delta_term)
+        # ``delta_term`` is the whole rational constant of the value.
+        record["delta_term"] = str(report.constant)
         record["coriolis_term"] = _mc_value_json(report.coriolis_term)
     return record
 
@@ -113,7 +115,7 @@ def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     a = _harmonic(parser, *args.a, what="--a")
     b = _harmonic(parser, *args.b, what="--b")
     expansion = bracket_expand(a, b)
-    for term in expansion:
+    for term in expansion.values():
         coeff = term.coefficient()
         _emit({
             "request": {"a": [a.l, a.m], "b": [b.l, b.m]},
@@ -124,7 +126,7 @@ def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "g": _ssr_json(term.g, pi_exp=-0.5),
             "coefficient": [coeff.real, coeff.imag],
         }, sys.stdout)
-    if not expansion.terms:
+    if not expansion:
         _emit({
             "request": {"a": [a.l, a.m], "b": [b.l, b.m]},
             "status": "zero-by-selection-rule",
@@ -156,13 +158,13 @@ def cmd_critical_table(parser: argparse.ArgumentParser, args: argparse.Namespace
     try:
         if args.format == "csv":
             out.write("l2,m2,ratio,direction,status\n")
-            for cell in table.cells:
+            for cell in table.values():
                 ratio = repr(cell.value) if cell.defined else ""
                 direction = cell.direction if cell.defined else ""
                 out.write(f"{cell.l2},{cell.m2},{ratio},{direction},{cell.status}\n")
         else:
-            for cell in table.cells:
-                record = {"l1": table.l1, "l2": cell.l2, "m2": cell.m2, "status": cell.status}
+            for cell in table.values():
+                record = {"l1": cell.l1, "l2": cell.l2, "m2": cell.m2, "status": cell.status}
                 if cell.defined:
                     record["ratio"] = cell.value
                     record["direction"] = cell.direction

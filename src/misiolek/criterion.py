@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .checks import SuiteResult
 from .exact import Frozen, SignedSqrtRational
@@ -68,9 +68,6 @@ class MCValue(Frozen):
         c = Fraction(factor)
         return MCValue(self.rational * c, self.over_pi * c, self.root_over_sqrt_pi.scale(c))
 
-    def __neg__(self) -> "MCValue":
-        return self.scale(-1)
-
     def is_zero(self) -> bool:
         return self.rational == 0 and self.over_pi == 0 and self.root_over_sqrt_pi.is_zero()
 
@@ -116,45 +113,6 @@ class MCSummand(Frozen):
         return Fraction(self.num * self.weight, self.den)
 
 
-class MCReport(Frozen):
-    """Exact criterion evaluation with its full decomposition.
-
-    value == sum of summand contributions over pi, plus delta_term, plus
-    coriolis_term, exactly; value_float is derived from the exact value.
-    """
-
-    __slots__ = _fields = ("summands", "value", "delta_term", "coriolis_slope", "coriolis_term",
-                           "rotation")
-
-    def __init__(self, summands: Tuple[MCSummand, ...], value: MCValue, delta_term: Fraction,
-                 coriolis_slope: MCValue, coriolis_term: MCValue, rotation: Fraction) -> None:
-        set_summands, set_value, set_delta, set_slope, set_coriolis, set_rotation = self._writers
-        set_summands(self, summands)
-        set_value(self, value)
-        set_delta(self, delta_term)
-        set_slope(self, coriolis_slope)
-        set_coriolis(self, coriolis_term)
-        set_rotation(self, rotation)
-
-    @property
-    def flat_over_pi(self) -> Fraction:
-        # Coriolis slopes carry no over_pi part, so value.over_pi is the summand sum.
-        return self.value.over_pi
-
-    @property
-    def value_float(self) -> float:
-        return self.value.to_float()
-
-
-def _sum_over_pi(summands: Sequence[MCSummand]) -> Fraction:
-    """Sum of the summand contributions, over one common denominator."""
-    num, den = 0, 1
-    for s in summands:
-        num = num * s.den + s.num * s.weight * den
-        den *= s.den
-    return Fraction(num, den)
-
-
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
     m3 = -(a.m + b.m)
     turn = _turn(a.l)
@@ -170,25 +128,57 @@ def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
 _ZERO_VALUE = MCValue()
 
 
-def _report(summands: Tuple[MCSummand, ...], delta: Fraction = Fraction(0),
-            slope: MCValue = _ZERO_VALUE, rotation: Fraction = Fraction(0),
-            extra_const: Fraction = Fraction(0)) -> MCReport:
-    const = delta + extra_const if extra_const else delta
-    value = MCValue(const, _sum_over_pi(summands))
-    # Without a rotation or a slope the Coriolis term is zero: skip its arithmetic.
-    if rotation and not slope.is_zero():
-        coriolis = slope.scale(rotation)
-        value = value + coriolis
-    else:
-        coriolis = _ZERO_VALUE
-    return MCReport(summands, value, delta, slope, coriolis, rotation)
+class MCReport(Frozen):
+    """Exact criterion evaluation, stored as its parts.
+
+    The value is the summand sum over pi, plus the rational ``constant``,
+    plus the Coriolis term ``rotation * coriolis_slope``; every other
+    attribute is derived from the four fields, so
+    ``flat_over_pi / pi + constant + coriolis_term == value`` exactly.
+    """
+
+    __slots__ = _fields = ("summands", "constant", "coriolis_slope", "rotation")
+
+    def __init__(self, summands: Tuple[MCSummand, ...], constant: Fraction = Fraction(0),
+                 coriolis_slope: MCValue = _ZERO_VALUE, rotation: Fraction = Fraction(0)) -> None:
+        set_summands, set_constant, set_slope, set_rotation = self._writers
+        set_summands(self, summands)
+        set_constant(self, constant)
+        set_slope(self, coriolis_slope)
+        set_rotation(self, rotation)
+
+    @property
+    def flat_over_pi(self) -> Fraction:
+        """Sum of the summand contributions, over one common denominator."""
+        num, den = 0, 1
+        for s in self.summands:
+            num = num * s.den + s.num * s.weight * den
+            den *= s.den
+        return Fraction(num, den)
+
+    @property
+    def coriolis_term(self) -> MCValue:
+        # Without a rotation or a slope the term is zero: skip its arithmetic.
+        if self.rotation and not self.coriolis_slope.is_zero():
+            return self.coriolis_slope.scale(self.rotation)
+        return _ZERO_VALUE
+
+    @property
+    def value(self) -> MCValue:
+        value = MCValue(self.constant, self.flat_over_pi)
+        coriolis = self.coriolis_term
+        return value if coriolis is _ZERO_VALUE else value + coriolis
+
+    @property
+    def value_float(self) -> float:
+        return self.value.to_float()
 
 
 def mc_flat(a: HarmonicIndex, b: HarmonicIndex) -> MCReport:
     """Criterion along the steady flow of Y_a probed by Y_b, no rotation."""
     if a.l < 1 or b.l < 1:
         raise ValueError("both degrees must be >= 1")
-    return _report(_flat_summands(a, b))
+    return MCReport(_flat_summands(a, b))
 
 
 def _exact_pair(x: Union[complex, Numeric, Tuple[Numeric, Numeric]]) -> Tuple[Fraction, Fraction]:
@@ -224,8 +214,7 @@ def mc_combination(a: HarmonicIndex, base: HarmonicIndex,
             if prev is not None:
                 num, den = prev.num * den + num * prev.den, prev.den * den
             merged[s.l3] = MCSummand.reduced(s.l3, num, den, s.weight)
-    summands = tuple(sorted(merged.values(), key=lambda s: s.l3))
-    return _report(summands)
+    return MCReport(tuple(sorted(merged.values(), key=lambda s: s.l3)))
 
 
 def coriolis_slope(a: HarmonicIndex, b: HarmonicIndex) -> MCValue:
@@ -244,8 +233,7 @@ def mc_coriolis(a: HarmonicIndex, b: HarmonicIndex, rotation: Numeric) -> MCRepo
     if a.l < 1 or b.l < 1:
         raise ValueError("both degrees must be >= 1")
     delta = Fraction(-a.m * a.m) if a == b else Fraction(0)
-    return _report(_flat_summands(a, b), delta=delta, slope=coriolis_slope(a, b),
-                   rotation=Fraction(rotation))
+    return MCReport(_flat_summands(a, b), delta, coriolis_slope(a, b), Fraction(rotation))
 
 
 class CriticalRatio(Frozen):
@@ -289,28 +277,8 @@ def critical_ratio(l1: int, l2: int, m2: int) -> CriticalRatio:
     return CriticalRatio(l1, l2, m2, STATUS_OK, value, ">" if denom.sign > 0 else "<")
 
 
-class CriticalRatioTable(Frozen):
-    """Grid of critical rotation rates over (l2, m2) for a fixed zonal flow.
-
-    ``cells`` is row-major: rows l2 = 1..l2_max, columns m2 = 1..l2_max.
-    """
-
-    __slots__ = _fields = ("l1", "l2_max", "cells")
-
-    def __init__(self, l1: int, l2_max: int, cells: Tuple[CriticalRatio, ...]) -> None:
-        set_l1, set_l2_max, set_cells = self._writers
-        set_l1(self, l1)
-        set_l2_max(self, l2_max)
-        set_cells(self, cells)
-
-    def cell(self, l2: int, m2: int) -> CriticalRatio:
-        if not (1 <= l2 <= self.l2_max and 1 <= m2 <= self.l2_max):
-            raise KeyError(f"no cell ({l2}, {m2})")
-        return self.cells[(l2 - 1) * self.l2_max + m2 - 1]
-
-
-def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
-    """Full ratio grid, rows l2 <= l2_max, columns m2 <= l2_max.
+def critical_table(l1: int, l2_max: int = 6) -> Dict[Tuple[int, int], CriticalRatio]:
+    """Full ratio grid ``{(l2, m2): cell}`` over 1 <= l2, m2 <= l2_max, row-major.
 
     Cells with m2 > l2 are marked not-applicable, never conflated with the
     undefined (vanishing denominator) cells; even l1 gives an all-undefined
@@ -320,14 +288,10 @@ def critical_table(l1: int, l2_max: int = 6) -> CriticalRatioTable:
         raise ValueError("requires l1 >= 1")
     if l2_max < 1:
         raise ValueError("requires l2_max >= 1")
-    cells = []
-    for l2 in range(1, l2_max + 1):
-        for m2 in range(1, l2_max + 1):
-            if m2 > l2:
-                cells.append(CriticalRatio(l1, l2, m2, STATUS_NOT_APPLICABLE))
-            else:
-                cells.append(critical_ratio(l1, l2, m2))
-    return CriticalRatioTable(l1, l2_max, tuple(cells))
+    return {
+        (l2, m2): CriticalRatio(l1, l2, m2, STATUS_NOT_APPLICABLE) if m2 > l2 else critical_ratio(l1, l2, m2)
+        for l2 in range(1, l2_max + 1) for m2 in range(1, l2_max + 1)
+    }
 
 
 class RHWave(Frozen):
@@ -364,22 +328,23 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
 
     |A|^2 MC(e_{l1 m1}, e_{l2 m2}) + C^2 m2^2 (2 - l2(l2+1))
     - |A|^2 m1^2 [probe == wave index] - a m2^2 C; the traveling phase drops
-    out since |exp(-i m1 omega t)| = 1, and with it omega and alpha2.
+    out since |exp(-i m1 omega t)| = 1, and with it omega and alpha2.  The
+    report's ``constant`` is C^2 m2^2 (2 - l2(l2+1)) - |A|^2 m1^2 [probe == wave index].
     """
     if wave.index.m == 0:
         raise ValueError("wave order m1 must be nonzero")
     amp_sq = _abs_squared(wave.A)
     m2 = probe.m
-    delta = -amp_sq * wave.index.m ** 2 if probe == wave.index else Fraction(0)
-    wave_const = wave.C ** 2 * m2 ** 2 * (2 - _turn(probe.l))
+    constant = wave.C ** 2 * m2 ** 2 * (2 - _turn(probe.l))
+    if probe == wave.index:
+        constant -= amp_sq * wave.index.m ** 2
     slope = MCValue(rational=-Fraction(m2 ** 2) * wave.C)
     p, q = amp_sq.numerator, amp_sq.denominator
     summands = tuple(
         MCSummand.reduced(s.l3, s.num * p, s.den * q, s.weight)
         for s in _flat_summands(wave.index, probe)
     )
-    return _report(summands, delta=delta, slope=slope, rotation=wave.a,
-                   extra_const=wave_const)
+    return MCReport(summands, constant, slope, wave.a)
 
 
 def rhw_threshold(l1: int, m1: int, m: int, K: float = 0.0) -> float:

@@ -206,12 +206,6 @@ class SignedSqrtRational(Frozen):
     def to_float(self) -> float:
         return self.sign * _sqrt_ratio_to_float(self.num, self.den)
 
-    def __str__(self) -> str:
-        if self.sign == 0:
-            return "0"
-        prefix = "-" if self.sign < 0 else ""
-        return f"{prefix}sqrt({self.radicand})"
-
 
 # Slot writers that bypass the refusing __setattr__; only the constructors use them.
 _new = object.__new__

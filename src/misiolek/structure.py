@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from itertools import islice, permutations
 from operator import itemgetter
-from typing import Iterator, List, Tuple
+from typing import Dict
 
 from .checks import SuiteResult
 from .exact import Frozen, SignedSqrtRational
@@ -35,9 +35,6 @@ class HarmonicIndex(Frozen):
         set_l(self, l)
         set_m(self, m)
 
-    def conjugate(self) -> "HarmonicIndex":
-        return HarmonicIndex(self.l, -self.m)
-
 
 #: The implicit factor of every structure constant, as a float.
 _PI_POWER = math.pi ** -0.5
@@ -50,14 +47,8 @@ def _is_negation(x: SignedSqrtRational, y: SignedSqrtRational) -> bool:
 
 
 def _l123_squared(l1: int, l2: int, l3: int) -> int:
+    """Square of the prefactor L123 = sqrt((2l1+1)(2l2+1)(2l3+1) l1(l1+1) l2(l2+1))."""
     return (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)
-
-
-def l123(l1: int, l2: int, l3: int) -> SignedSqrtRational:
-    """Positive prefactor sqrt((2l1+1)(2l2+1)(2l3+1) l1(l1+1) l2(l2+1))."""
-    if l1 < 1 or l2 < 1:
-        raise ValueError("requires l1, l2 >= 1")
-    return SignedSqrtRational.sqrt(_l123_squared(l1, l2, l3))
 
 
 def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRational:
@@ -108,58 +99,25 @@ class BracketTerm(Frozen):
         return complex(0.0, self.phase_imag) * (self.g.to_float() * _PI_POWER)
 
 
-class BracketExpansion(Frozen):
-    """Expansion of {Y_{l1 m1}, Y_{l2 m2}} over output degrees l3; immutable.
+def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> Dict[int, BracketTerm]:
+    """Expand the Poisson bracket of two harmonics as ``{l3: term}``.
 
-    ``_by_degree`` indexes the terms by l3; it is derived, so not a field.
-    """
-
-    __slots__ = ("input1", "input2", "terms", "_by_degree")
-    _fields = ("input1", "input2", "terms")
-
-    def __init__(self, input1: HarmonicIndex, input2: HarmonicIndex,
-                 terms: Tuple[BracketTerm, ...] = ()) -> None:
-        set_input1, set_input2, set_terms, set_by_degree = self._writers
-        set_input1(self, input1)
-        set_input2(self, input2)
-        set_terms(self, terms)
-        set_by_degree(self, {t.l3: t for t in terms})
-
-    def term(self, l3: int) -> BracketTerm:
-        t = self._by_degree.get(l3)
-        if t is None:
-            raise KeyError(f"no term at degree {l3}")
-        return t
-
-    def degrees(self) -> List[int]:
-        return [t.l3 for t in self.terms]
-
-    def coefficient(self, l3: int) -> complex:
-        t = self._by_degree.get(l3)
-        return 0j if t is None else t.coefficient()
-
-    def __iter__(self) -> Iterator[BracketTerm]:
-        return iter(self.terms)
-
-
-def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
-    """Expand the Poisson bracket of two harmonics; zero terms are dropped.
-
-    Degree-zero inputs (constant stream functions) and zonal pairs commute,
-    so they give the empty expansion.  Every other pair takes its m-symbols
-    from one ``threej_band`` recurrence, and each term is ``g_real``'s value,
-    reduced once from the band's unreduced square.
+    The keys ascend and zero terms are dropped.  Degree-zero inputs (constant
+    stream functions) and zonal pairs commute, so they give ``{}``.  Every
+    other pair takes its m-symbols from one ``threej_band`` recurrence, and
+    each term is ``g_real``'s value, reduced once from the band's unreduced
+    square.
     """
     l1, m1, l2, m2 = a.l, a.m, b.l, b.m
     if l1 == 0 or l2 == 0 or m1 == m2 == 0:
-        return BracketExpansion(a, b)
+        return {}
     m3 = m1 + m2
     phase_imag = -_parity(m3)  # imaginary part of -i*(-1)^(m1+m2)
     pair = (2 * l1 + 1) * (2 * l2 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)  # L123^2 / (2 l3 + 1)
     terms = []
     # g vanishes unless l1 + l2 + l3 is odd with |l1 - l2| < l3 < l1 + l2.  The
-    # band starts at l3 = l1 + l2, so the odd sums are every other symbol from
-    # its second on.
+    # band descends from l3 = l1 + l2, so the odd sums are every other symbol
+    # from its second on.
     band = threej_band(l1, l2, m1, m2, abs(l1 - l2) + 1)
     for l3, sign, num, den in islice(band, 1, None, 2):
         if not sign:
@@ -169,8 +127,7 @@ def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> BracketExpansion:
         g = SignedSqrtRational._reduce(
             -sign * flat.sign, (2 * l3 + 1) * pair * num * flat.num, 4 * den * flat.den)
         terms.append(BracketTerm(l3, m3, g, phase_imag))
-    terms.reverse()
-    return BracketExpansion(a, b, tuple(terms))
+    return {t.l3: t for t in reversed(terms)}
 
 
 def validate_symmetries(res: SuiteResult, l_max: int) -> None:

@@ -125,6 +125,46 @@ def test_mc_rotation_record(capsys):
     assert {s["l3"] for s in record["summands"]} == {2, 4}
 
 
+def _exact_terms(terms):
+    """(rational, over_pi, root) of a list of exact terms; root is (sign, radicand) or None."""
+    rational, over_pi, root = Fraction(0), Fraction(0), None
+    for term in terms:
+        if term["pi_exp"] == 0:
+            rational += term["sign"] * Fraction(term["rational"])
+        elif term["pi_exp"] == -1:
+            over_pi += term["sign"] * Fraction(term["rational"])
+        else:
+            assert term["pi_exp"] == -0.5 and root is None
+            root = (term["sign"], Fraction(term["radicand"]))
+    return rational, over_pi, root
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc", "--a", "3", "2", "--b", "2", "-2", "--verbose"),
+    ("mc", "--a", "4", "3", "--b", "4", "3", "--verbose"),
+    ("mc", "--a", "4", "3", "--b", "4", "3", "--rotation", "2.5", "--verbose"),
+    ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "5.0", "--verbose"),
+    ("mc", "--a", "5", "0", "--b", "3", "-2", "--rotation", "-0.3", "--verbose"),
+    ("rhw", "--wave", "3", "2", "--A", "1", "0", "--C", "1", "--K", "0", "--probe", "2", "-2", "--verbose"),
+    ("rhw", "--wave", "3", "2", "--A", "1.5", "-0.5", "--C", "0.75", "--K", "2", "--probe", "3", "2",
+     "--verbose"),
+    ("rhw", "--wave", "4", "-1", "--A", "0.3", "2", "--C", "1.25", "--K", "0.5", "--probe", "5", "3",
+     "--verbose"),
+    ("rhw", "--wave", "3", "2", "--A", "0", "0", "--C", "1", "--probe", "4", "2", "--verbose"),
+])
+def test_verbose_breakdown_adds_up_to_the_exact_value(capsys, argv):
+    # Summands over pi, plus delta_term, plus the Coriolis term, is the value, exactly;
+    # for a wave, delta_term holds C^2 m2^2 (2 - l2(l2+1)) (-16 in the first rhw case).
+    code, out = run_cli(capsys, *argv)
+    record = json.loads(out)
+    assert code == 0
+    over_pi = sum((Fraction(s["g_squared"]) * s["weight"] for s in record["summands"]), Fraction(0))
+    rational, coriolis_over_pi, root = _exact_terms(record["coriolis_term"])
+    assert coriolis_over_pi == 0
+    want = (Fraction(record["delta_term"]) + rational, over_pi, root)
+    assert _exact_terms(record["exact"]) == want
+
+
 def test_mc_order_out_of_range_is_usage_error():
     assert run_cli_expect_usage_error("mc", "--a", "3", "4", "--b", "2", "1") == 2
 

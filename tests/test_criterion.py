@@ -92,7 +92,7 @@ def test_mc_report_decomposition_consistency():
 
 def assert_order_negation_symmetric(a, b):
     """MC(a, b) == MC(-a, -b) exactly under global order negation."""
-    assert mc_flat(a, b).value == mc_flat(a.conjugate(), b.conjugate()).value, (a, b)
+    assert mc_flat(a, b).value == mc_flat(H(a.l, -a.m), H(b.l, -b.m)).value, (a, b)
 
 
 def test_mc_symmetry_negate():
@@ -154,7 +154,7 @@ def test_mc_coriolis_nonzonal_slope_vanishes():
 
 def test_mc_coriolis_self_probe_penalty():
     report = mc_coriolis(H(4, 3), H(4, 3), 2.5)
-    assert report.delta_term == -9
+    assert report.constant == -9
     assert report.value.rational == -9
     assert report.value.over_pi == 0  # bracket of a field with itself vanishes
 
@@ -199,8 +199,8 @@ def test_critical_ratio_validates_orders():
 
 def test_critical_table_even_flow_all_undefined():
     table = critical_table(4, l2_max=5)
-    assert all(not cell.defined for cell in table.cells)
-    assert {cell.status for cell in table.cells} == {"undefined", "not-applicable"}
+    assert all(not cell.defined for cell in table.values())
+    assert {cell.status for cell in table.values()} == {"undefined", "not-applicable"}
 
 
 def test_critical_table_degree_one_flow():
@@ -208,7 +208,7 @@ def test_critical_table_degree_one_flow():
     # cancels and every in-range cell is sqrt(3/(4 pi)) (l2(l2+1) - 2) with
     # direction ">"; the (1, 1) cell degenerates to a zero threshold.
     table = critical_table(1, l2_max=3)
-    for cell in table.cells:
+    for cell in table.values():
         if cell.m2 > cell.l2:
             assert cell.status == "not-applicable"
             continue
@@ -219,16 +219,16 @@ def test_critical_table_degree_one_flow():
 
 def test_critical_table_shape_and_signs():
     table = critical_table(3, l2_max=5)
-    assert len(table.cells) == 25
-    defined = [c for c in table.cells if c.defined]
+    assert list(table) == [(l2, m2) for l2 in range(1, 6) for m2 in range(1, 6)]  # row-major
+    defined = [c for c in table.values() if c.defined]
     assert len(defined) == 14
     for cell in defined:
         assert (cell.direction == ">") == (cell.value >= 0)
-    assert table.cell(2, 3).status == "not-applicable"
-    assert all(table.cell(c.l2, c.m2) is c for c in table.cells)
+    assert table[2, 3].status == "not-applicable"
+    assert all(key == (c.l2, c.m2) and c.l1 == 3 for key, c in table.items())
     for l2, m2 in ((6, 1), (0, 1), (1, 0), (1, 6)):
         with pytest.raises(KeyError):
-            table.cell(l2, m2)
+            table[l2, m2]
 
 
 def test_rhw_solution_constructor():
@@ -303,7 +303,7 @@ def test_rhw_zonal_only_wave_part():
 def test_rhw_self_probe_penalty_term():
     wave = RHWave(A=2 + 0j, C=0.0, index=H(3, 2))
     report = rhw_mc(wave, H(3, 2))
-    assert report.delta_term == -16
+    assert report.constant == -16
     assert report.value.rational == -16
 
 

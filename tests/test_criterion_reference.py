@@ -1,9 +1,9 @@
 """The integer criterion layer against the rational loop it replaced.
 
-``_flat_summands`` carries g^2 * pi as reduced integers, ``_report`` sums them
+``_flat_summands`` carries g^2 * pi as reduced integers, ``MCReport`` sums them
 over one denominator and skips the Coriolis arithmetic when there is no
 rotation or no slope.  The references below are the earlier evaluation in
-``Fraction`` and ``MCValue`` arithmetic, and every report field must agree
+``Fraction`` and ``MCValue`` arithmetic, and every report attribute must agree
 exactly, in value and in type, summands included.  ``positivity_chain``
 reads the pair's summands; its reference recomputes each g^2 through
 ``g_real``.
@@ -55,13 +55,12 @@ def reference_summands(a, b):
     return out
 
 
-def reference_report(summands, delta=Fraction(0), slope=MCValue(), rotation=Fraction(0),
-                     extra_const=Fraction(0)):
-    """Report fields with the Coriolis term always formed, as before."""
+def reference_report(summands, constant=Fraction(0), slope=MCValue(), rotation=Fraction(0)):
+    """Report attributes with the Coriolis term always formed, as before."""
     over_pi = sum((g_sq * weight for _, g_sq, weight in summands), Fraction(0))
     coriolis = slope.scale(rotation)
-    value = MCValue(delta + extra_const, over_pi) + coriolis
-    return {"summands": summands, "value": value, "delta_term": delta, "coriolis_slope": slope,
+    value = MCValue(constant, over_pi) + coriolis
+    return {"summands": summands, "value": value, "constant": constant, "coriolis_slope": slope,
             "coriolis_term": coriolis, "rotation": rotation, "flat_over_pi": over_pi}
 
 
@@ -73,16 +72,18 @@ def assert_matches(report, want, context):
     got = {
         "summands": [(s.l3, s.g_squared_over_pi, s.weight) for s in report.summands],
         "value": report.value,
-        "delta_term": report.delta_term,
+        "constant": report.constant,
         "coriolis_slope": report.coriolis_slope,
         "coriolis_term": report.coriolis_term,
         "rotation": report.rotation,
         "flat_over_pi": report.flat_over_pi,
     }
     assert got == want, context
+    # The breakdown adds up: summands over pi, the constant and the Coriolis term.
+    assert MCValue(got["constant"], got["flat_over_pi"]) + got["coriolis_term"] == got["value"], context
     for name in ("value", "coriolis_slope", "coriolis_term"):
         assert _value_types(got[name]) == _value_types(want[name]), (name, context)
-    for name in ("delta_term", "rotation", "flat_over_pi"):
+    for name in ("constant", "rotation", "flat_over_pi"):
         assert type(got[name]) is type(want[name]) is Fraction, (name, context)
     for s in report.summands:
         assert s.den > 0 and gcd(s.num, s.den) == 1, context
@@ -107,7 +108,7 @@ def test_mc_coriolis_equals_rational_reference():
             delta = Fraction(-a.m * a.m) if a == b else Fraction(0)
             slope = coriolis_slope(a, b)
             for rotation in ROTATIONS:
-                want = reference_report(summands, delta=delta, slope=slope, rotation=Fraction(rotation))
+                want = reference_report(summands, constant=delta, slope=slope, rotation=Fraction(rotation))
                 assert_matches(mc_coriolis(a, b, rotation), want, (a, b, rotation))
 
 
@@ -131,9 +132,9 @@ def test_rhw_mc_equals_rational_reference(wave):
         summands = [(l3, g_sq * amp_sq, weight)
                     for l3, g_sq, weight in reference_summands(wave.index, probe)]
         delta = -amp_sq * wave.index.m ** 2 if probe == wave.index else Fraction(0)
-        want = reference_report(summands, delta=delta, slope=MCValue(rational=-Fraction(m2 ** 2) * zonal),
-                                rotation=Fraction(a),
-                                extra_const=zonal ** 2 * m2 ** 2 * (2 - _turn(probe.l)))
+        constant = delta + zonal ** 2 * m2 ** 2 * (2 - _turn(probe.l))
+        want = reference_report(summands, constant=constant, slope=MCValue(rational=-Fraction(m2 ** 2) * zonal),
+                                rotation=Fraction(a))
         assert_matches(rhw_mc(wave, probe), want, (wave, probe))
 
 

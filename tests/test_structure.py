@@ -14,11 +14,11 @@ from misiolek.checks import SuiteResult
 from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
-    BracketExpansion,
+    BracketTerm,
     HarmonicIndex,
+    _l123_squared,
     bracket_expand,
     g_real,
-    l123,
     validate_symmetries,
 )
 from misiolek.suites import structure_suite, theorem_suite
@@ -29,7 +29,7 @@ SSR = SignedSqrtRational
 
 def test_harmonic_index_validation():
     idx = HarmonicIndex(3, -2)
-    assert idx.conjugate() == HarmonicIndex(3, 2)
+    assert (idx.l, idx.m) == (3, -2)
     with pytest.raises(ValueError):
         HarmonicIndex(2, 3)
     with pytest.raises(ValueError):
@@ -37,14 +37,13 @@ def test_harmonic_index_validation():
 
 
 def test_l123_examples():
-    assert l123(1, 1, 1) == SSR.of(1, 108)
-    assert l123(2, 1, 2) == SSR.of(1, 900)
-    assert l123(2, 1, 2).to_float() == 30.0
+    assert _l123_squared(1, 1, 1) == 108
+    assert _l123_squared(2, 1, 2) == 900 == 30 ** 2
     # high-precision float oracle: Decimal(22680).sqrt()
-    assert l123(3, 2, 4) == SSR.of(1, 22680)
-    assert l123(3, 2, 4).to_float() == pytest.approx(150.5988047761336, abs=0)
-    with pytest.raises(ValueError):
-        l123(0, 1, 1)
+    assert _l123_squared(3, 2, 4) == 22680
+    assert SSR.sqrt(_l123_squared(3, 2, 4)).to_float() == pytest.approx(150.5988047761336, abs=0)
+    # A degree-zero input gives a zero prefactor, so g vanishes there.
+    assert _l123_squared(0, 1, 1) == _l123_squared(1, 0, 1) == 0
 
 
 def test_g_real_rotation_generator_value():
@@ -120,8 +119,8 @@ def test_bracket_with_rotation_generator():
     # {Y_{1 0}, Y_{l m}}: single term at l3 = l with magnitude |m| sqrt(3/(4 pi))
     for l2, m2 in ((2, 1), (3, -2), (5, 4)):
         expansion = bracket_expand(HarmonicIndex(1, 0), HarmonicIndex(l2, m2))
-        assert expansion.degrees() == [l2]
-        coeff = expansion.coefficient(l2)
+        assert list(expansion) == [l2]
+        coeff = expansion[l2].coefficient()
         assert coeff.real == pytest.approx(0.0, abs=1e-15)
         assert abs(coeff) == pytest.approx(abs(m2) * math.sqrt(3 / (4 * math.pi)), rel=1e-14)
         # {mu, Y} = -i m Y scaled by sqrt(3/(4 pi)): the coefficient is -i m g-style
@@ -129,20 +128,17 @@ def test_bracket_with_rotation_generator():
 
 
 def test_bracket_lookup_by_degree():
-    # term/coefficient against a scan of the terms: KeyError and 0j off the expansion.
+    # Each key is its term's l3, the keys ascend, and a degree off the expansion is a KeyError.
     indices = [HarmonicIndex(l, m) for l in range(6) for m in range(-l, l + 1)]
     for a in indices:
         for b in indices:
             expansion = bracket_expand(a, b)
+            assert all(l3 == term.l3 for l3, term in expansion.items()), (a, b)
+            assert list(expansion) == sorted(expansion), (a, b)
             for l3 in range(a.l + b.l + 2):
-                found = [t for t in expansion.terms if t.l3 == l3]
-                if found:
-                    assert expansion.term(l3) is found[0]
-                    assert expansion.coefficient(l3) == found[0].coefficient()
-                else:
+                if l3 not in expansion:
                     with pytest.raises(KeyError):
-                        expansion.term(l3)
-                    assert expansion.coefficient(l3) == 0j
+                        expansion[l3]
 
 
 def test_bracket_coefficient_float_is_pinned():
@@ -151,7 +147,7 @@ def test_bracket_coefficient_float_is_pinned():
     indices = [HarmonicIndex(l, m) for l in range(7) for m in range(-l, l + 1)]
     for a in indices:
         for b in indices:
-            for term in bracket_expand(a, b):
+            for term in bracket_expand(a, b).values():
                 want = complex(0, term.phase_imag) * (term.g.to_float() * math.pi ** -0.5)
                 got = term.coefficient()
                 assert got == want and repr(got) == repr(want), (a, b, term.l3)
@@ -159,49 +155,37 @@ def test_bracket_coefficient_float_is_pinned():
 
 def test_bracket_of_identical_fields_is_empty():
     for l, m in ((1, 0), (3, 2), (4, -4)):
-        assert bracket_expand(HarmonicIndex(l, m), HarmonicIndex(l, m)).terms == ()
+        assert bracket_expand(HarmonicIndex(l, m), HarmonicIndex(l, m)) == {}
 
 
 def test_bracket_zero_degree_input():
-    assert bracket_expand(HarmonicIndex(0, 0), HarmonicIndex(3, 1)).terms == ()
+    assert bracket_expand(HarmonicIndex(0, 0), HarmonicIndex(3, 1)) == {}
 
 
 def test_bracket_band_and_parity():
     expansion = bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -1))
-    assert expansion.degrees() == [2, 4]  # range [2, 4], parity excludes 3
-    assert all(term.m3 == 0 for term in expansion)  # m3 = m1 + m2
-    for term in expansion:
-        assert (2 + 3 + term.l3) % 2 == 1
+    assert list(expansion) == [2, 4]  # range [2, 4], parity excludes 3
+    assert all(term.m3 == 0 for term in expansion.values())  # m3 = m1 + m2
+    for l3 in expansion:
+        assert (2 + 3 + l3) % 2 == 1
 
 
 def test_bracket_expansion_value_semantics():
+    # The expansion is a plain dict, ascending in l3, built afresh by each call:
+    # a caller that edits its copy changes no other caller's.
     a, b = HarmonicIndex(2, 1), HarmonicIndex(3, -1)
     expansion = bracket_expand(a, b)
-    again = BracketExpansion(a, b, tuple(expansion))
-    assert expansion == again and hash(expansion) == hash(again)
-    assert hash(expansion) == hash((a, b, expansion.terms))
-    assert expansion != BracketExpansion(b, a, expansion.terms)
-    assert expansion != BracketExpansion(a, b)
-    assert repr(expansion) == (
-        "BracketExpansion(input1=HarmonicIndex(l=2, m=1), input2=HarmonicIndex(l=3, m=-1), "
-        "terms=(BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, radicand=Fraction(18, 7)), "
-        "phase_imag=-1), BracketTerm(l3=4, m3=0, g=SignedSqrtRational(sign=-1, "
-        "radicand=Fraction(125, 14)), phase_imag=-1)))")
-    assert expansion.degrees() == [2, 4] and list(expansion) == list(expansion.terms)
-    assert expansion.term(4) is expansion.terms[1]
-    assert expansion.coefficient(4) == expansion.terms[1].coefficient()
-    assert expansion.coefficient(3) == 0j
-    with pytest.raises(KeyError):
-        expansion.term(3)
-    empty = BracketExpansion(HarmonicIndex(0, 0), HarmonicIndex(1, 0))
-    assert empty.terms == () and empty.degrees() == [] and list(empty) == []
-    assert repr(empty) == ("BracketExpansion(input1=HarmonicIndex(l=0, m=0), "
-                           "input2=HarmonicIndex(l=1, m=0), terms=())")
-    assert pickle.loads(pickle.dumps(expansion)) == expansion
-    with pytest.raises(AttributeError):
-        expansion.terms = ()
-    with pytest.raises(AttributeError):
-        del expansion.input1
+    assert type(expansion) is dict
+    assert expansion == {
+        2: BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1),
+        4: BracketTerm(4, 0, SSR.of(-1, Fraction(125, 14)), -1),
+    }
+    expansion.clear()
+    again = bracket_expand(a, b)
+    assert list(again) == [2, 4] and again is not expansion
+    assert pickle.loads(pickle.dumps(again)) == again
+    empty = bracket_expand(HarmonicIndex(0, 0), HarmonicIndex(1, 0))
+    assert type(empty) is dict and empty == {}
 
 
 def test_bracket_degrees_are_the_nonzero_band():
@@ -211,7 +195,7 @@ def test_bracket_degrees_are_the_nonzero_band():
         for b in indices:
             band = range(abs(a.l - b.l) + 1, a.l + b.l)
             nonzero = [l3 for l3 in band if not g_real(a.l, a.m, b.l, b.m, l3, -(a.m + b.m)).is_zero()]
-            assert bracket_expand(a, b).degrees() == nonzero, (a, b)
+            assert list(bracket_expand(a, b)) == nonzero, (a, b)
             assert [s.l3 for s in mc_flat(a, b).summands] == nonzero, (a, b)
 
 
@@ -222,9 +206,9 @@ def test_bracket_antisymmetry():
                 for m2 in range(-l2, l2 + 1):
                     left = bracket_expand(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2))
                     right = bracket_expand(HarmonicIndex(l2, m2), HarmonicIndex(l1, m1))
-                    assert left.degrees() == right.degrees()
-                    for term in left:
-                        mirror = right.term(term.l3)
+                    assert list(left) == list(right)
+                    for l3, term in left.items():
+                        mirror = right[l3]
                         assert mirror.g == -term.g
                         assert mirror.phase_imag == term.phase_imag
 

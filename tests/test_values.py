@@ -16,18 +16,16 @@ import pytest
 import misiolek
 from misiolek.criterion import (
     CriticalRatio,
-    CriticalRatioTable,
     MCReport,
     MCSummand,
     MCValue,
     RHWave,
     critical_ratio,
-    critical_table,
     mc_coriolis,
     mc_flat,
 )
 from misiolek.exact import Frozen, SignedSqrtRational
-from misiolek.structure import BracketExpansion, BracketTerm, HarmonicIndex, bracket_expand
+from misiolek.structure import BracketTerm, HarmonicIndex
 from misiolek.wigner import threej_lm
 
 SSR = SignedSqrtRational
@@ -41,7 +39,6 @@ EXAMPLES = {
     BracketTerm: (BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1),
                   "BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, "
                   "radicand=Fraction(18, 7)), phase_imag=-1)"),
-    BracketExpansion: (bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -1)), None),
     MCValue: (MCValue(Fraction(2), Fraction(-3), SSR.of(1, Fraction(9, 4))),
               "MCValue(rational=Fraction(2, 1), over_pi=Fraction(-3, 1), "
               "root_over_sqrt_pi=SignedSqrtRational(sign=1, radicand=Fraction(9, 4)))"),
@@ -49,7 +46,6 @@ EXAMPLES = {
                 "MCSummand(l3=4, num=246960, den=20449, weight=36)"),
     MCReport: (mc_coriolis(HarmonicIndex(3, 0), HarmonicIndex(2, 1), Fraction(5)), None),
     CriticalRatio: (critical_ratio(3, 2, 1), None),
-    CriticalRatioTable: (critical_table(3, l2_max=2), None),
     RHWave: (RHWave(A=1 + 2j, C=0.5, index=HarmonicIndex(3, 2), a=Fraction(-1, 3)),
              "RHWave(A=(Fraction(1, 1), Fraction(2, 1)), C=Fraction(1, 2), "
              "index=HarmonicIndex(l=3, m=2), alpha2=Fraction(0, 1), a=Fraction(-1, 3))"),
