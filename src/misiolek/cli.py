@@ -80,15 +80,15 @@ def _emit(record: dict, stream) -> None:
     stream.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither nan nor infinite."""
+def _exact_decimal(text: str) -> Fraction:
+    """argparse type: a finite float flag, read as the exact decimal it spells."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
-    return value
+    return Fraction(text)
 
 
 def _harmonic(parser: argparse.ArgumentParser, l: int, m: int, what: str) -> HarmonicIndex:
@@ -140,7 +140,7 @@ def cmd_mc(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     b = _harmonic(parser, *args.b, what="--b")
     request = {"a": [a.l, a.m], "b": [b.l, b.m]}
     if args.rotation is not None:
-        request["rotation"] = args.rotation
+        request["rotation"] = float(args.rotation)
         report = mc_coriolis(a, b, args.rotation)
     else:
         report = mc_flat(a, b)
@@ -199,17 +199,18 @@ def cmd_rhw(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     wave_index = _harmonic(parser, l1, m1, what="--wave")
     if args.threshold is not None:
         _emit({
-            "request": {"wave": [l1, m1], "threshold_order": args.threshold, "K": args.K},
+            "request": {"wave": [l1, m1], "threshold_order": args.threshold, "K": float(args.K)},
             "status": "ok",
             "float": rhw_threshold(l1, m1, args.threshold, K=args.K),
         }, sys.stdout)
         return 0
     probe = _harmonic(parser, *args.probe, what="--probe")
-    rotation = -args.K * args.C
-    report = rhw_mc(RHWave(A=tuple(args.A), C=args.C, index=wave_index, a=rotation), probe)
+    report = rhw_mc(RHWave(A=tuple(args.A), C=args.C, index=wave_index, a=-args.K * args.C), probe)
+    K, C = float(args.K), float(args.C)
+    # The echoed rate is the binary-float product of the echoed flags.
     request = {
-        "wave": [l1, m1], "A": [args.A[0], args.A[1]], "C": args.C,
-        "K": args.K, "rotation": rotation, "probe": [probe.l, probe.m],
+        "wave": [l1, m1], "A": [float(args.A[0]), float(args.A[1])], "C": C,
+        "K": K, "rotation": -K * C, "probe": [probe.l, probe.m],
     }
     _emit(_mc_record(request, report, args.verbose), sys.stdout)
     return 0
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Misiolek criterion, flat or rotating")
     p.add_argument("--a", nargs=2, type=int, required=True, metavar=("L1", "M1"))
     p.add_argument("--b", nargs=2, type=int, required=True, metavar=("L2", "M2"))
-    p.add_argument("--rotation", type=_finite_float, default=None, help="Coriolis rotation rate")
+    p.add_argument("--rotation", type=_exact_decimal, default=None, help="Coriolis rotation rate")
     p.add_argument("--verbose", action="store_true", help="include per-degree summands")
     p.set_defaults(func=cmd_mc)
 
@@ -263,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rhw", help="Rossby-Haurwitz wave criterion and thresholds")
     p.add_argument("--wave", nargs=2, type=int, required=True, metavar=("L1", "M1"))
-    p.add_argument("--A", nargs=2, type=_finite_float, default=(0.0, 0.0), metavar=("RE", "IM"))
-    p.add_argument("--C", type=_finite_float, default=1.0, help="zonal coefficient")
-    p.add_argument("--K", type=_finite_float, default=0.0, help="rotation rate is a = -K*C")
+    p.add_argument("--A", nargs=2, type=_exact_decimal, default=(Fraction(0), Fraction(0)),
+                   metavar=("RE", "IM"))
+    p.add_argument("--C", type=_exact_decimal, default=Fraction(1), help="zonal coefficient")
+    p.add_argument("--K", type=_exact_decimal, default=Fraction(0), help="rotation rate is a = -K*C")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--probe", nargs=2, type=int, metavar=("L2", "M2"))
     target.add_argument("--threshold", type=int, metavar="M",

@@ -347,7 +347,7 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
     return MCReport(summands, constant, slope, wave.a)
 
 
-def rhw_threshold(l1: int, m1: int, m: int, K: float = 0.0) -> float:
+def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
     """Minimal |A|^2/C^2 making the wave criterion positive at rate a = -K*C.
 
     Equals m^2 (m(m+1) - 2 - K) / MC(e_{l1 m1}, e_{m -m}); the hypothesis

@@ -1,21 +1,22 @@
 """Brute-force verification path for the structure constants.
 
 Everything here is floating point on purpose: harmonics are evaluated
-pointwise from Legendre recurrences, Poisson brackets are formed from
-analytic derivatives on a Gauss-Legendre x uniform grid, and structure
-constants are recovered by projection.  Agreement with the exact Dowker
-pipeline is the central anti-drift check of the whole artifact.
+pointwise from one normalised Legendre recurrence, Poisson brackets are
+formed from analytic derivatives on a Gauss-Legendre x uniform grid, and
+structure constants are recovered by projection.  Agreement with the exact
+Dowker pipeline is the central anti-drift check of the whole artifact.
+
+The recurrence carries only factors of order one, so no degree leaves double
+range; the grid's memory is the only cap on the degree it resolves.
 
 Convention: the Condon-Shortley phase (-1)^m multiplies positive orders
 only, which is the unique reading that satisfies the conjugation identity
-Y*_{lm} = (-1)^m Y_{l,-m}; the Legendre recurrences are phase-free.
+Y*_{lm} = (-1)^m Y_{l,-m}; the Legendre recurrence is phase-free.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -25,55 +26,35 @@ from .structure import HarmonicIndex
 ArrayLike = Union[float, np.ndarray]
 
 
-def legendre_p(l: int, m: int, mu: ArrayLike) -> ArrayLike:
-    """Associated Legendre function P^m_l (Ferrers, no phase), 0 <= m <= l.
+def normalised_legendre(l: int, m: int, mu: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    """(P, dP/dmu) for P = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P^m_l, 0 <= m <= l.
 
-    Plain upward recurrence in the degree; adequate for the moderate
-    degrees the oracle grids ever see.  Raises OverflowError where the
-    unnormalised values leave double range (from order about 150 on).
+    P^m_l is the Ferrers function with no phase, so 2 pi times the integral
+    of P^2 over mu is 1.  The fully normalised recurrences of Holmes and
+    Featherstone (J. Geodesy 76 (2002) 279) carry only factors of order one:
+    P_mm = (4 pi)^(-1/2) prod_{k<=m} sqrt((2k+1)/(2k)) (1-mu^2)^(m/2), then
+    P_lm = a mu P_{l-1,m} - b P_{l-2,m} with a = sqrt((4l^2-1)/(l^2-m^2)) and
+    b = sqrt(((l-1)^2-m^2)(2l+1)/((l^2-m^2)(2l-3))), and
+    (1-mu^2) dP_lm/dmu = -l mu P_lm + sqrt((2l+1)(l^2-m^2)/(2l-1)) P_{l-1,m}.
+    The derivative is for interior mu only, which quadrature nodes are.
     """
     if not 0 <= m <= l:
         raise ValueError("requires 0 <= m <= l")
     mu = np.asarray(mu, dtype=float)
-    # Overflow is reported once, by the isfinite check below, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sqrt(1.0 - mu * mu)
-        # P^m_m = (2m-1)!! * s^m
-        p = np.ones_like(mu)
-        for k in range(1, m + 1):
-            p = p * (2 * k - 1) * s
-        if l > m:
-            p_prev, p = p, mu * (2 * m + 1) * p
-            for deg in range(m + 2, l + 1):
-                p_prev, p = p, (mu * (2 * deg - 1) * p - (deg + m - 1) * p_prev) / (deg - m)
-    if not np.all(np.isfinite(p)):
-        raise OverflowError(f"P^{m}_{l} exceeds double range")
-    return p
-
-
-def legendre_p_deriv(l: int, m: int, mu: ArrayLike) -> ArrayLike:
-    """d/dmu of P^m_l via (1-mu^2) P' = (l+m) P_{l-1} - l mu P_l.
-
-    Valid away from the poles; quadrature nodes are interior so this is
-    never evaluated at mu = +-1.
-    """
-    mu = np.asarray(mu, dtype=float)
-    below = legendre_p(l - 1, m, mu) if l - 1 >= m else np.zeros_like(mu)
-    return ((l + m) * below - l * mu * legendre_p(l, m, mu)) / (1.0 - mu * mu)
-
-
-def _norm_coeff(l: int, m: int) -> float:
-    """C^m_l = phase * sqrt((2l+1)/(4 pi) (l-|m|)!/(l+|m|)!), exact ratio first.
-
-    Raises OverflowError where the ratio falls below the normal double range
-    (for l = |m| from 86 on), instead of losing precision and then reading 0.
-    """
-    am = abs(m)
-    ratio = float(Fraction(math.factorial(l - am), math.factorial(l + am)))
-    if ratio < sys.float_info.min:
-        raise OverflowError(f"(l-|m|)!/(l+|m|)! for l={l}, m={m} is below double range")
-    phase = -1.0 if (m > 0 and m % 2) else 1.0
-    return phase * math.sqrt((2 * l + 1) * ratio / (4.0 * math.pi))
+    s = np.sqrt(1.0 - mu * mu)
+    p = np.full_like(mu, 1.0 / math.sqrt(4.0 * math.pi))
+    for k in range(1, m + 1):
+        p = p * (math.sqrt((2 * k + 1) / (2 * k)) * s)
+    below = np.zeros_like(mu)
+    if l > m:
+        below, p = p, math.sqrt(2 * m + 3) * mu * p
+        for deg in range(m + 2, l + 1):
+            span = deg * deg - m * m
+            a = math.sqrt((4 * deg * deg - 1) / span)
+            b = math.sqrt(((deg - 1) ** 2 - m * m) * (2 * deg + 1) / (span * (2 * deg - 3)))
+            below, p = p, a * mu * p - b * below
+    step = math.sqrt((2 * l + 1) * (l * l - m * m) / (2 * l - 1)) if l > m else 0.0
+    return p, (step * below - l * mu * p) / (1.0 - mu * mu)
 
 
 class GridFunction:
@@ -142,10 +123,9 @@ class QuadratureGrid:
         cached = self._harmonics.get(key)
         if cached is not None:
             return cached
-        am = abs(idx.m)
-        coeff = _norm_coeff(idx.l, idx.m)
-        p = coeff * np.asarray(legendre_p(idx.l, am, self.mu))
-        dp = coeff * np.asarray(legendre_p_deriv(idx.l, am, self.mu))
+        p, dp = normalised_legendre(idx.l, abs(idx.m), self.mu)
+        if idx.m > 0 and idx.m % 2:
+            p, dp = -p, -dp
         phase = np.exp(1j * idx.m * self.lam)
         values = p[:, None] * phase[None, :]
         fn = GridFunction(
@@ -186,7 +166,7 @@ def poisson_bracket(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def oracle_structure_coeff(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int,
-                           grid: Optional[QuadratureGrid] = None) -> complex:
+                           grid: QuadratureGrid) -> complex:
     """Projection coefficient G^{l3 m3} of {Y_{l1 m1}, Y_{l2 m2}} onto Y_{l3 m3}.
 
     Computed entirely on the grid, independent of the exact pipeline.  The
@@ -195,8 +175,6 @@ def oracle_structure_coeff(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int,
     bracket per pair.  The value is bit for bit that of
     ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_c)``.
     """
-    if grid is None:
-        grid = QuadratureGrid.for_degree(max(l1, l2, l3))
     if max(l1, l2, l3) > grid.l_max:
         raise ValueError(f"degrees exceed grid resolution l_max={grid.l_max}")
     bracket = grid._bracket_values(l1, m1, l2, m2)

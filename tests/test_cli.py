@@ -185,6 +185,42 @@ def test_rhw_threshold_record(capsys):
     assert record["float"] == pytest.approx(16 * math.pi / 10, rel=1e-12)
 
 
+def test_rhw_decimal_flags_are_exact(capsys):
+    # K C^2 with C = 1/10, not with the binary float nearest 0.1.
+    code, out = run_cli(capsys, "rhw", "--A", "1", "0", "--C", "0.1", "--K", "2", "--wave", "3", "2",
+                        "--probe", "1", "1")
+    record = json.loads(out)
+    assert code == 0
+    assert record["exact"] == [{"sign": 1, "rational": "1/50", "pi_exp": 0}]
+    assert record["float"] == 0.02
+
+
+def test_mc_decimal_rotation_is_exact(capsys):
+    # The coriolis slope of this pair is sqrt(36/7)/sqrt(pi); at rate 1/10 it is sqrt(9/175)/sqrt(pi).
+    code, out = run_cli(capsys, "mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "0.1")
+    record = json.loads(out)
+    assert code == 0 and record["request"]["rotation"] == 0.1
+    assert record["exact"] == [{"sign": -1, "rational": "12/1", "pi_exp": -1},
+                               {"sign": 1, "radicand": "9/175", "pi_exp": -0.5}]
+    assert record["float"] == pytest.approx(-12 / math.pi + math.sqrt(9 / 175 / math.pi), rel=1e-15)
+
+
+def test_rhw_threshold_decimal_K(capsys):
+    # 4 (2*3 - 2 - K) / MC(e_{3 2}, e_{2 -2}) with K = 1/10 and MC = 10/pi: 39 pi / 25.
+    code, out = run_cli(capsys, "rhw", "--threshold", "2", "--wave", "3", "2", "--K", "0.1")
+    record = json.loads(out)
+    assert code == 0 and record["request"]["K"] == 0.1
+    assert record["float"] == pytest.approx(39 * math.pi / 25, rel=1e-15)
+
+
+def test_decimal_flags_are_echoed_as_floats(capsys):
+    code, out = run_cli(capsys, "rhw", "--A", "0.3", "-0.7", "--C", "1.1", "--K", "0.3", "--wave", "3", "2",
+                        "--probe", "2", "1")
+    assert code == 0
+    assert json.loads(out)["request"] == {"wave": [3, 2], "A": [0.3, -0.7], "C": 1.1, "K": 0.3,
+                                          "rotation": -0.3 * 1.1, "probe": [2, 1]}
+
+
 def test_rhw_zonal_wave_usage_error():
     assert run_cli_expect_usage_error("rhw", "--wave", "3", "0", "--probe", "2", "1") == 2
 
