@@ -3,8 +3,9 @@
 Everything here is floating point on purpose: harmonics are evaluated
 pointwise from one normalised Legendre recurrence, Poisson brackets are
 formed from analytic derivatives on a Gauss-Legendre x uniform grid, and
-structure constants are recovered by projection.  Agreement with the exact
-Dowker pipeline is the central anti-drift check of the whole artifact.
+structure constants are recovered by projection, one bracket per pair and
+one dot product per output degree.  Agreement with the exact Dowker
+pipeline is the central anti-drift check of the whole artifact.
 
 The recurrence carries only factors of order one, so no degree leaves double
 range; the grid's memory is the only cap on the degree it resolves.
@@ -17,7 +18,7 @@ Y*_{lm} = (-1)^m Y_{l,-m}; the Legendre recurrence is phase-free.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,11 +37,14 @@ def normalised_legendre(l: int, m: int, mu: ArrayLike) -> Tuple[np.ndarray, np.n
     P_lm = a mu P_{l-1,m} - b P_{l-2,m} with a = sqrt((4l^2-1)/(l^2-m^2)) and
     b = sqrt(((l-1)^2-m^2)(2l+1)/((l^2-m^2)(2l-3))), and
     (1-mu^2) dP_lm/dmu = -l mu P_lm + sqrt((2l+1)(l^2-m^2)/(2l-1)) P_{l-1,m}.
-    The derivative is for interior mu only, which quadrature nodes are.
+    The derivative is for interior mu only, which quadrature nodes are, so
+    mu outside the open interval (-1, 1) is rejected.
     """
     if not 0 <= m <= l:
         raise ValueError("requires 0 <= m <= l")
     mu = np.asarray(mu, dtype=float)
+    if not np.abs(mu).max() < 1.0:  # nan fails too; np.all would cost a 128 kB buffer
+        raise ValueError("requires -1 < mu < 1")
     s = np.sqrt(1.0 - mu * mu)
     p = np.full_like(mu, 1.0 / math.sqrt(4.0 * math.pi))
     for k in range(1, m + 1):
@@ -93,9 +97,9 @@ class QuadratureGrid:
         self.lam = lam
         self.lam_weight = lam_weight
         self._harmonics: Dict[Tuple[int, int], GridFunction] = {}
-        # The flattened Poisson bracket of the most recently projected pair, keyed
-        # by (l1, m1, l2, m2): one slot, replaced whenever the pair changes.
-        self._bracket: Optional[Tuple[Tuple[int, int, int, int], np.ndarray]] = None
+        # Per order m, the flattened duals of Y_{l m} for l = |m| .. l_max:
+        # views of the cached harmonics' arrays, never copies.
+        self._order_duals: Dict[int, List[np.ndarray]] = {}
 
     @classmethod
     def for_degree(cls, l_max: int) -> "QuadratureGrid":
@@ -137,18 +141,19 @@ class QuadratureGrid:
         self._harmonics[key] = fn
         return fn
 
-    def _cached(self, l: int, m: int) -> GridFunction:
-        """The grid harmonic (l, m); a first request is validated by ``harmonic``."""
-        fn = self._harmonics.get((l, m))
-        return fn if fn is not None else self.harmonic(HarmonicIndex(l, m))
+    def _cached(self, idx: HarmonicIndex) -> GridFunction:
+        """The grid harmonic idx; a first request is validated by ``harmonic``."""
+        fn = self._harmonics.get((idx.l, idx.m))
+        return fn if fn is not None else self.harmonic(idx)
 
-    def _bracket_values(self, l1: int, m1: int, l2: int, m2: int) -> np.ndarray:
-        """Flattened {Y_{l1 m1}, Y_{l2 m2}}, formed only when the pair differs from the last."""
-        key = (l1, m1, l2, m2)
-        if self._bracket is None or self._bracket[0] != key:
-            bracket = poisson_bracket(self._cached(l1, m1), self._cached(l2, m2))
-            self._bracket = (key, bracket.values.ravel())
-        return self._bracket[1]
+    def _duals_of_order(self, m: int) -> List[np.ndarray]:
+        """Flattened duals of Y_{l m} for l = |m| .. l_max, in ascending l."""
+        duals = self._order_duals.get(m)
+        if duals is None:
+            duals = [self._cached(HarmonicIndex(l, m)).dual.ravel()
+                     for l in range(abs(m), self.l_max + 1)]
+            self._order_duals[m] = duals
+        return duals
 
 
 def _dual(g: GridFunction) -> np.ndarray:
@@ -165,17 +170,19 @@ def poisson_bracket(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(values=f.d_lam * g.d_mu - f.d_mu * g.d_lam)
 
 
-def oracle_structure_coeff(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int,
-                           grid: QuadratureGrid) -> complex:
-    """Projection coefficient G^{l3 m3} of {Y_{l1 m1}, Y_{l2 m2}} onto Y_{l3 m3}.
+def oracle_structure_coeff(a: HarmonicIndex, b: HarmonicIndex, grid: QuadratureGrid) -> Dict[int, complex]:
+    """Projections {l3: G^{l3 m3}} of {Y_a, Y_b} onto Y_{l3 m3}, m3 = a.m + b.m.
 
-    Computed entirely on the grid, independent of the exact pipeline.  The
-    grid must resolve all three degrees.  The grid keeps the bracket of the
-    last pair it projected, so a caller that varies l3 innermost forms one
-    bracket per pair.  The value is bit for bit that of
-    ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_c)``.
+    Computed entirely on the grid, independent of the exact pipeline: one
+    bracket per call, then one dot product against a cached dual for every
+    l3 from |m3| to ``grid.l_max``, ascending; ``{}`` when |m3| > l_max.  The
+    grid must resolve both input degrees, and it caches every harmonic of
+    order m3 on the first call for that order.  Each value is bit for bit
+    that of ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_{l3 m3})``.
     """
-    if max(l1, l2, l3) > grid.l_max:
+    if max(a.l, b.l) > grid.l_max:
         raise ValueError(f"degrees exceed grid resolution l_max={grid.l_max}")
-    bracket = grid._bracket_values(l1, m1, l2, m2)
-    return complex(np.dot(bracket, grid._cached(l3, m3).dual.ravel()))
+    m3 = a.m + b.m
+    bracket = poisson_bracket(grid._cached(a), grid._cached(b)).values.ravel()
+    return {l3: complex(bracket.dot(dual))
+            for l3, dual in enumerate(grid._duals_of_order(m3), start=abs(m3))}

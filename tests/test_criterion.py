@@ -357,6 +357,25 @@ def test_conjugate_time():
         conjugate_time(1.0, -2.0)
 
 
+@pytest.mark.parametrize("kappa, v_norm", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+])
+def test_conjugate_time_rejects_non_finite_input(kappa, v_norm):
+    with pytest.raises(ValueError):
+        conjugate_time(kappa, v_norm)
+
+
+@pytest.mark.parametrize("kappa, v_norm", [(1e200, 1e200), (1e-320, 1e-10)])
+def test_conjugate_time_rejects_a_product_outside_float_range(kappa, v_norm):
+    # The product overflows to inf (time 0.0) or underflows to 0 (division by zero).
+    with pytest.raises(ValueError, match="positive finite"):
+        conjugate_time(kappa, v_norm)
+
+
+def test_conjugate_time_at_a_subnormal_product():
+    assert conjugate_time(1e-300, 1e-10) == math.pi / math.sqrt(1e-310)
+
+
 def test_harmonic_velocity_norm():
     # |e_lm|^2 = integral of |grad Y_lm|^2 = l(l+1), from the grid's analytic
     # derivative fields; the integrand is a polynomial the grid integrates exactly.

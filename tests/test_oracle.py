@@ -60,6 +60,20 @@ def test_legendre_rejects_bad_orders():
         normalised_legendre(2, -1, 0.5)
 
 
+@pytest.mark.parametrize("mu", [-1.0, 1.0, 1.5, -2.0, math.nan, math.inf, [0.5, 1.0], [-1.0000001, 0.0]])
+def test_legendre_rejects_mu_outside_the_open_interval(mu):
+    # At mu = +-1 the derivative formula divides by 1 - mu^2 = 0, and beyond
+    # them sqrt(1 - mu^2) is nan; the true derivative at the poles is finite.
+    with pytest.raises(ValueError):
+        normalised_legendre(3, 0, mu)
+
+
+def test_legendre_accepts_mu_next_to_the_poles():
+    mus = np.array([np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)])
+    p, dp = normalised_legendre(3, 1, mus)
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(dp))
+
+
 def test_legendre_derivative_matches_finite_differences():
     mus = np.linspace(-0.8, 0.8, 9)
     h = 1e-6
@@ -181,60 +195,64 @@ def test_bracket_y10_y11_collinear(grid):
 
 def test_projection_selection_rules(grid):
     # azimuthal integral kills m3 != m1 + m2; parity kills even degree sums
-    assert abs(oracle_structure_coeff(2, 1, 3, 1, 4, 1, grid)) < 1e-12
-    assert abs(oracle_structure_coeff(2, 1, 3, 1, 3, 2, grid)) < 1e-12
-    assert abs(oracle_structure_coeff(2, 0, 2, 1, 2, 1, grid)) < 1e-12
+    bracket = poisson_bracket(grid.harmonic(HarmonicIndex(2, 1)), grid.harmonic(HarmonicIndex(3, 1)))
+    assert abs(grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(4, 1)))) < 1e-12
+    assert abs(oracle_structure_coeff(HarmonicIndex(2, 1), HarmonicIndex(3, 1), grid)[3]) < 1e-12
+    assert abs(oracle_structure_coeff(HarmonicIndex(2, 0), HarmonicIndex(2, 1), grid)[2]) < 1e-12
 
 
 def test_rotation_generator_column(grid):
     # {Y_{1 0}, Y_{l m}} projects to -i m sqrt(3/(4 pi)) at (l, m) and nowhere else
     for l2, m2 in ((2, 1), (4, -3), (6, 5)):
-        for l3 in range(abs(m2), 7):
-            got = oracle_structure_coeff(1, 0, l2, m2, l3, m2, grid)
+        column = oracle_structure_coeff(HarmonicIndex(1, 0), HarmonicIndex(l2, m2), grid)
+        assert list(column) == list(range(abs(m2), 7))
+        for l3, got in column.items():
             want = -1j * m2 * math.sqrt(3 / (4 * math.pi)) if l3 == l2 else 0.0
             assert abs(got - want) < 1e-12
 
 
 def test_grid_resolution_contract(grid):
     with pytest.raises(ValueError):
-        oracle_structure_coeff(7, 0, 3, 1, 4, 1, grid)
+        oracle_structure_coeff(HarmonicIndex(7, 0), HarmonicIndex(3, 1), grid)
+    with pytest.raises(ValueError):
+        oracle_structure_coeff(HarmonicIndex(2, 1), HarmonicIndex(7, 2), grid)  # degree above the grid
     with pytest.raises(ValueError):
         grid.harmonic(HarmonicIndex(9, 0))
-    # The same errors while the grid holds the bracket of the pair asked for.
-    oracle_structure_coeff(2, 1, 3, 1, 4, 2, grid)
     with pytest.raises(ValueError):
-        oracle_structure_coeff(2, 1, 3, 1, 7, 2, grid)  # degree above the grid
-    with pytest.raises(ValueError):
-        oracle_structure_coeff(2, 1, 3, 1, 1, 2, grid)  # |m3| > l3
-    with pytest.raises(ValueError):
-        oracle_structure_coeff(2, 3, 3, 1, 4, 4, grid)  # |m1| > l1
+        HarmonicIndex(2, 3)  # |m1| > l1 cannot reach the oracle
+    # One entry per degree that carries the order m3, up to the grid's l_max.
+    for (l1, m1), (l2, m2) in (((2, 1), (3, 1)), ((1, 0), (1, 0)), ((6, -6), (5, 1)), ((4, 4), (6, 2))):
+        m3 = m1 + m2
+        got = oracle_structure_coeff(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2), grid)
+        assert list(got) == list(range(abs(m3), grid.l_max + 1)), (l1, m1, l2, m2)
+    assert oracle_structure_coeff(HarmonicIndex(6, 6), HarmonicIndex(3, 1), grid) == {}
 
 
-def _suite_coefficients(l_max):
-    """(l1, m1, l2, m2, l3, m3) of every projection oracle_suite makes, in its order."""
-    indices = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
-    return [(l1, m1, l2, m2, l3, m1 + m2)
-            for l1, m1 in indices for l2, m2 in indices
-            for l3 in range(l_max + 1) if abs(m1 + m2) <= l3]
+def _suite_pairs(l_max):
+    """(a, b) of every pair oracle_suite projects, in its order."""
+    indices = [HarmonicIndex(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    return [(a, b) for a in indices for b in indices if abs(a.m + b.m) <= l_max]
 
 
-def _projected_directly(grid, l1, m1, l2, m2, l3, m3):
-    bracket = poisson_bracket(grid.harmonic(HarmonicIndex(l1, m1)), grid.harmonic(HarmonicIndex(l2, m2)))
-    return grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(l3, m3)))
+def _projected_directly(grid, a, b, l3):
+    bracket = poisson_bracket(grid.harmonic(a), grid.harmonic(b))
+    return grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(l3, a.m + b.m)))
 
 
 @pytest.mark.parametrize("order", ["suite", "shuffled"])
 def test_structure_coeff_is_the_direct_projection_bit_for_bit(grid, order):
-    # The grid keeps one pair's bracket; in shuffled order it is replaced
-    # between almost every two calls, in suite order once per pair.
-    coeffs = _suite_coefficients(6)
-    assert len(coeffs) == 8876
+    # Each call forms its own bracket, so the order of the pairs must not matter.
+    pairs = _suite_pairs(6)
+    assert len(pairs) == 2052
     if order == "shuffled":
-        random.Random(7).shuffle(coeffs)
-    for args in coeffs:
-        got = oracle_structure_coeff(*args, grid)
-        want = _projected_directly(grid, *args)
-        assert got == want and repr(got) == repr(want), args
+        random.Random(7).shuffle(pairs)
+    entries = 0
+    for a, b in pairs:
+        for l3, got in oracle_structure_coeff(a, b, grid).items():
+            want = _projected_directly(grid, a, b, l3)
+            assert got == want and repr(got) == repr(want), (a, b, l3)
+            entries += 1
+    assert entries == 8876
 
 
 def test_oracle_suite_at_degree_6():
@@ -250,11 +268,7 @@ def test_oracle_matches_exact_pipeline_small(grid):
     for a in indices:
         for b in indices:
             expansion = bracket_expand(a, b)
-            m3 = a.m + b.m
-            for l3 in range(5):
-                if abs(m3) > l3:
-                    continue
-                got = oracle_structure_coeff(a.l, a.m, b.l, b.m, l3, m3, grid)
+            for l3, got in oracle_structure_coeff(a, b, grid).items():
                 term = expansion.get(l3)
                 worst = max(worst, abs(got - (0j if term is None else term.coefficient())))
     assert worst < 1e-12
@@ -262,15 +276,18 @@ def test_oracle_matches_exact_pipeline_small(grid):
 
 def test_oracle_matches_exact_pipeline_above_degree_85():
     # Sampled, not swept: each cached harmonic at L = 100 holds four complex
-    # arrays of 202 x 404 nodes, 5.2 MB.
+    # arrays of 202 x 404 nodes, 5.2 MB, and oracle_structure_coeff would cache
+    # every degree of the order m3.  The sampled projections are its values
+    # bit for bit (test_structure_coeff_is_the_direct_projection_bit_for_bit).
     tolerance = 1e-9  # times max(1, |exact|), fixed before the run
     wide = QuadratureGrid.for_degree(100)
     pairs = (((100, 100), (99, -98)), ((90, -1), (86, 86)), ((95, 0), (88, 3)), ((87, -40), (100, 55)))
     for (l1, m1), (l2, m2) in pairs:
-        expansion = bracket_expand(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2))
+        a, b = HarmonicIndex(l1, m1), HarmonicIndex(l2, m2)
+        expansion = bracket_expand(a, b)
         m3 = abs(m1 + m2)
         for l3 in (m3, m3 + 1, (m3 + 100) // 2, 99, 100):
             term = expansion.get(l3)
             exact = 0j if term is None else term.coefficient()
-            got = oracle_structure_coeff(l1, m1, l2, m2, l3, m1 + m2, wide)
+            got = _projected_directly(wide, a, b, l3)
             assert abs(got - exact) <= tolerance * max(1.0, abs(exact)), (l1, m1, l2, m2, l3)
