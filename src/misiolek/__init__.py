@@ -16,7 +16,6 @@ from .wigner import (
     threej_recursive_112,
 )
 from .criterion import (
-    CriticalRatio,
     MCReport,
     MCValue,
     RHWave,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedFormDomainError",
-    "CriticalRatio",
     "HarmonicIndex",
     "MCReport",
     "MCValue",

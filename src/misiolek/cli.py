@@ -77,7 +77,12 @@ def _mc_record(request: dict, report: MCReport, verbose: bool) -> dict:
 
 
 def _emit(record: dict, stream) -> None:
-    stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+    """One compact JSON line; a non-finite float is refused, never written."""
+    try:
+        line = json.dumps(record, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise OverflowError("a float of the record is not finite") from None
+    stream.write(line + "\n")
 
 
 def _exact_decimal(text: str) -> Fraction:
@@ -159,16 +164,12 @@ def cmd_critical_table(parser: argparse.ArgumentParser, args: argparse.Namespace
         if args.format == "csv":
             out.write("l2,m2,ratio,direction,status\n")
             for cell in table.values():
-                ratio = repr(cell.value) if cell.defined else ""
-                direction = cell.direction if cell.defined else ""
-                out.write(f"{cell.l2},{cell.m2},{ratio},{direction},{cell.status}\n")
+                # A float formats as its repr, the shortest round-trip form.
+                out.write(f"{cell['l2']},{cell['m2']},{cell.get('ratio', '')},"
+                          f"{cell.get('direction', '')},{cell['status']}\n")
         else:
             for cell in table.values():
-                record = {"l1": cell.l1, "l2": cell.l2, "m2": cell.m2, "status": cell.status}
-                if cell.defined:
-                    record["ratio"] = cell.value
-                    record["direction"] = cell.direction
-                _emit(record, out)
+                _emit(cell, out)
     finally:
         if args.out:
             out.close()

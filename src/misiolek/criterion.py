@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .checks import SuiteResult
 from .exact import Frozen, SignedSqrtRational
@@ -19,10 +19,6 @@ from .structure import HarmonicIndex, g_real
 from .wigner import _parity
 
 Numeric = Union[int, float, Fraction]
-
-STATUS_OK = "ok"
-STATUS_UNDEFINED = "undefined"
-STATUS_NOT_APPLICABLE = "not-applicable"
 
 
 class OrderCollisionError(ValueError):
@@ -72,11 +68,14 @@ class MCValue(Frozen):
         return self.rational == 0 and self.over_pi == 0 and self.root_over_sqrt_pi.is_zero()
 
     def to_float(self) -> float:
+        """Sum of the components' floats; OverflowError if it leaves double range."""
         total = float(self.rational)
         if self.over_pi:
             total += float(self.over_pi) / math.pi
         if not self.root_over_sqrt_pi.is_zero():
             total += self.root_over_sqrt_pi.to_float() / math.sqrt(math.pi)
+        if not math.isfinite(total):
+            raise OverflowError("the sum of the float components exceeds double range")
         return total
 
 
@@ -236,60 +235,46 @@ def mc_coriolis(a: HarmonicIndex, b: HarmonicIndex, rotation: Numeric) -> MCRepo
     return MCReport(_flat_summands(a, b), delta, coriolis_slope(a, b), Fraction(rotation))
 
 
-class CriticalRatio(Frozen):
-    """Rotation rate at which the zonal criterion changes sign.
+def critical_ratio(l1: int, l2: int, m2: int) -> dict:
+    """Critical rotation rate -MC(e_{l1 0}, e_{l2 m2}) / ((-1)^{m2} m2 g), as a record.
 
-    direction is ">" when rates above the value give conjugate points and
-    "<" when rates below do; undefined cells have a vanishing denominator
-    and must never be read as numeric zero.
+    The record is ``{"l1", "l2", "m2", "status"}``.  Status "ok" adds the
+    float ``"ratio"`` and its ``"direction"``: ">" when rates above the
+    ratio give conjugate points, "<" when rates below do.  Status
+    "undefined" marks a vanishing denominator and carries no ratio, so it
+    is never read as numeric zero.
     """
-
-    __slots__ = _fields = ("l1", "l2", "m2", "status", "value", "direction")
-
-    def __init__(self, l1: int, l2: int, m2: int, status: str, value: Optional[float] = None,
-                 direction: Optional[str] = None) -> None:
-        set_l1, set_l2, set_m2, set_status, set_value, set_direction = self._writers
-        set_l1(self, l1)
-        set_l2(self, l2)
-        set_m2(self, m2)
-        set_status(self, status)
-        set_value(self, value)
-        set_direction(self, direction)
-
-    @property
-    def defined(self) -> bool:
-        return self.status == STATUS_OK
-
-
-def critical_ratio(l1: int, l2: int, m2: int) -> CriticalRatio:
-    """Critical rotation rate -MC(e_{l1 0}, e_{l2 m2}) / ((-1)^{m2} m2 g)."""
     if not 1 <= m2 <= l2:
         raise ValueError("requires 1 <= m2 <= l2")
     if l1 < 1:
         raise ValueError("requires l1 >= 1")
+    cell = {"l1": l1, "l2": l2, "m2": m2, "status": "undefined"}
     slope = coriolis_slope(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2))
     denom = slope.root_over_sqrt_pi
     if denom.is_zero():
-        return CriticalRatio(l1, l2, m2, STATUS_UNDEFINED)
+        return cell
     flat = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2))
     numerator = -float(flat.flat_over_pi) / math.pi
-    value = numerator / (denom.to_float() / math.sqrt(math.pi))
-    return CriticalRatio(l1, l2, m2, STATUS_OK, value, ">" if denom.sign > 0 else "<")
+    cell.update(status="ok", ratio=numerator / (denom.to_float() / math.sqrt(math.pi)),
+                direction=">" if denom.sign > 0 else "<")
+    return cell
 
 
-def critical_table(l1: int, l2_max: int = 6) -> Dict[Tuple[int, int], CriticalRatio]:
-    """Full ratio grid ``{(l2, m2): cell}`` over 1 <= l2, m2 <= l2_max, row-major.
+def critical_table(l1: int, l2_max: int = 6) -> Dict[Tuple[int, int], dict]:
+    """Full ratio grid ``{(l2, m2): record}`` over 1 <= l2, m2 <= l2_max, row-major.
 
-    Cells with m2 > l2 are marked not-applicable, never conflated with the
-    undefined (vanishing denominator) cells; even l1 gives an all-undefined
-    grid because the rotation term then vanishes identically.
+    Each record is that of ``critical_ratio``; cells with m2 > l2 have status
+    "not-applicable", never conflated with the undefined (vanishing
+    denominator) cells.  Even l1 gives an all-undefined grid because the
+    rotation term then vanishes identically.
     """
     if l1 < 1:
         raise ValueError("requires l1 >= 1")
     if l2_max < 1:
         raise ValueError("requires l2_max >= 1")
     return {
-        (l2, m2): CriticalRatio(l1, l2, m2, STATUS_NOT_APPLICABLE) if m2 > l2 else critical_ratio(l1, l2, m2)
+        (l2, m2): {"l1": l1, "l2": l2, "m2": m2, "status": "not-applicable"} if m2 > l2
+        else critical_ratio(l1, l2, m2)
         for l2 in range(1, l2_max + 1) for m2 in range(1, l2_max + 1)
     }
 

@@ -29,8 +29,8 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def sqrt_to_float(value: Fraction) -> float:
-    """Nearest double to sqrt(value) for a nonnegative rational.
+def _sqrt_ratio_to_float(p: int, q: int) -> float:
+    """Nearest double to sqrt(p/q), for p/q in lowest terms with p >= 0 and q > 0.
 
     The square root is taken on a >=120-bit integer approximation before the
     final rounding, so factorial ratios far beyond double range still convert
@@ -38,13 +38,6 @@ def sqrt_to_float(value: Fraction) -> float:
 
     Raises OverflowError if the result exceeds double range.
     """
-    if value < 0:
-        raise ValueError("square root of negative rational")
-    return _sqrt_ratio_to_float(value.numerator, value.denominator)
-
-
-def _sqrt_ratio_to_float(p: int, q: int) -> float:
-    """sqrt_to_float for p/q in lowest terms with p >= 0 and q > 0."""
     if p == 0:
         return 0.0
     # sqrt(p/q) = sqrt(p*q)/q.  Shift so isqrt carries ~120 significant bits,

@@ -98,7 +98,7 @@ class QuadratureGrid:
         self.lam_weight = lam_weight
         self._harmonics: Dict[Tuple[int, int], GridFunction] = {}
         # Per order m, the flattened duals of Y_{l m} for l = |m| .. l_max:
-        # views of the cached harmonics' arrays, never copies.
+        # views of a cached harmonic's dual where there is one.
         self._order_duals: Dict[int, List[np.ndarray]] = {}
 
     @classmethod
@@ -119,6 +119,17 @@ class QuadratureGrid:
         """Hermitian pairing integral of f * conj(g); g must be a grid harmonic."""
         return complex(np.dot(f.values.ravel(), _dual(g).ravel()))
 
+    def _samples(self, idx: HarmonicIndex) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, dP/dmu, phase) of Y_{lm} at the nodes, with the sign convention."""
+        p, dp = normalised_legendre(idx.l, abs(idx.m), self.mu)
+        if idx.m > 0 and idx.m % 2:
+            p, dp = -p, -dp
+        phase = np.exp(1j * idx.m * self.lam)
+        return p[:, None] * phase[None, :], dp, phase
+
+    def _dual_of(self, values: np.ndarray) -> np.ndarray:
+        return np.conj(values) * (self.mu_weights * self.lam_weight)[:, None]
+
     def harmonic(self, idx: HarmonicIndex) -> GridFunction:
         """Y_{lm} sampled with its analytic lambda- and mu-derivatives and its dual."""
         if idx.l > self.l_max:
@@ -127,16 +138,12 @@ class QuadratureGrid:
         cached = self._harmonics.get(key)
         if cached is not None:
             return cached
-        p, dp = normalised_legendre(idx.l, abs(idx.m), self.mu)
-        if idx.m > 0 and idx.m % 2:
-            p, dp = -p, -dp
-        phase = np.exp(1j * idx.m * self.lam)
-        values = p[:, None] * phase[None, :]
+        values, dp, phase = self._samples(idx)
         fn = GridFunction(
             values=values,
             d_lam=1j * idx.m * values,
             d_mu=dp[:, None] * phase[None, :],
-            dual=np.conj(values) * (self.mu_weights * self.lam_weight)[:, None],
+            dual=self._dual_of(values),
         )
         self._harmonics[key] = fn
         return fn
@@ -147,11 +154,18 @@ class QuadratureGrid:
         return fn if fn is not None else self.harmonic(idx)
 
     def _duals_of_order(self, m: int) -> List[np.ndarray]:
-        """Flattened duals of Y_{l m} for l = |m| .. l_max, in ascending l."""
+        """Flattened duals of Y_{l m} for l = |m| .. l_max, in ascending l.
+
+        A cached harmonic lends its dual as a view; any other dual is built
+        from fresh samples, and the harmonic itself is not cached.
+        """
         duals = self._order_duals.get(m)
         if duals is None:
-            duals = [self._cached(HarmonicIndex(l, m)).dual.ravel()
-                     for l in range(abs(m), self.l_max + 1)]
+            duals = []
+            for l in range(abs(m), self.l_max + 1):
+                fn = self._harmonics.get((l, m))
+                dual = fn.dual if fn is not None else self._dual_of(self._samples(HarmonicIndex(l, m))[0])
+                duals.append(dual.ravel())
             self._order_duals[m] = duals
         return duals
 
@@ -176,8 +190,9 @@ def oracle_structure_coeff(a: HarmonicIndex, b: HarmonicIndex, grid: QuadratureG
     Computed entirely on the grid, independent of the exact pipeline: one
     bracket per call, then one dot product against a cached dual for every
     l3 from |m3| to ``grid.l_max``, ascending; ``{}`` when |m3| > l_max.  The
-    grid must resolve both input degrees, and it caches every harmonic of
-    order m3 on the first call for that order.  Each value is bit for bit
+    grid must resolve both input degrees.  It caches the two input
+    harmonics, and on the first call for the order m3 the dual of every
+    degree of that order, but no other harmonic.  Each value is bit for bit
     that of ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_{l3 m3})``.
     """
     if max(a.l, b.l) > grid.l_max:

@@ -42,11 +42,11 @@ def test_criterion_1_reference_table_reproduction():
     assert result.checks == 89
     # Value signs and not-applicable cells are the checks table_suite does not make.
     for l1, expected in REFERENCE_RATIOS.items():
-        for cell in critical_table(l1, l2_max=6).values():
-            if cell.m2 > cell.l2:
-                assert cell.status == "not-applicable", (l1, cell)
-            elif (cell.l2, cell.m2) in expected:
-                assert (cell.value < 0) == (expected[cell.l2, cell.m2] < 0), (l1, cell)
+        for (l2, m2), cell in critical_table(l1, l2_max=6).items():
+            if m2 > l2:
+                assert cell["status"] == "not-applicable", (l1, cell)
+            elif (l2, m2) in expected:
+                assert (cell["ratio"] < 0) == (expected[l2, m2] < 0), (l1, cell)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"table reproduction took {elapsed:.1f}s"
     _report(1, f"{result.checks} reference-table checks within {REFERENCE_TOLERANCE} rel "

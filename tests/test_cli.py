@@ -16,7 +16,7 @@ import pytest
 
 import misiolek.cli
 from misiolek.cli import main
-from misiolek.criterion import RHWave, mc_flat, rhw_mc, rhw_threshold
+from misiolek.criterion import RHWave, critical_table, mc_flat, rhw_mc, rhw_threshold
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import HarmonicIndex
 from misiolek.suites import SUITE_NAMES, run_suite, structure_suite, suite_cap, wigner_suite
@@ -301,6 +301,10 @@ def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
     ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e308"),
     ("rhw", "--A", "1e200", "0", "--wave", "3", "2", "--probe", "3", "2"),
     ("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "1e308"),
+    # The echoed rotation -K*C overflows, though the criterion's float does not.
+    ("rhw", "--wave", "3", "2", "--probe", "2", "0", "--K", "1e300", "--C", "1e300", "--A", "1", "0"),
+    # Each component's float is finite, but their sum is not.
+    ("rhw", "--wave", "3", "2", "--probe", "5", "2", "--C", "1.2e153", "--K", "0", "--A", "3.7e152", "0"),
 ])
 def test_finite_flag_with_overflowing_result_is_usage_error(capsys, argv):
     # The flags are finite, but the float of the result is not.
@@ -371,6 +375,20 @@ def test_critical_table_json_and_file_output(capsys, tmp_path):
     assert cell["direction"] == "<"
     undefined = next(r for r in records if (r["l2"], r["m2"]) == (2, 1))
     assert undefined["status"] == "undefined" and "ratio" not in undefined
+
+
+def test_critical_table_prints_the_library_records(capsys):
+    for l1 in range(1, 8):
+        cells = list(critical_table(l1, l2_max=6).values())
+        code, out = run_cli(capsys, "critical-table", "--l1", str(l1), "--l2-max", "6", "--format", "json")
+        assert code == 0
+        assert out.splitlines() == [json.dumps(cell, separators=(",", ":")) for cell in cells]
+        code, out = run_cli(capsys, "critical-table", "--l1", str(l1), "--l2-max", "6", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["l2"], r["m2"], r["status"], r["ratio"], r["direction"]) for r in rows] == [
+            (str(c["l2"]), str(c["m2"]), c["status"], repr(c["ratio"]) if "ratio" in c else "",
+             c.get("direction", "")) for c in cells]
 
 
 @pytest.mark.parametrize("l2_max", ["0", "-2"])

@@ -46,6 +46,16 @@ def test_mc_value_algebra():
     assert v.to_float() == pytest.approx(2 - 3 / math.pi + 1.5 / math.sqrt(math.pi), rel=1e-15)
 
 
+def test_mc_value_float_refuses_an_overflowing_sum():
+    # Both component floats are finite (1.7e308 and 1.7e308 / pi); their sum is not.
+    big = Fraction(17 * 10**307)
+    value = MCValue(big, big)
+    assert math.isfinite(float(value.rational)) and math.isfinite(float(value.over_pi) / math.pi)
+    with pytest.raises(OverflowError):
+        value.to_float()
+    assert MCValue(big, -big).to_float() == pytest.approx(1.7e308 * (1 - 1 / math.pi), rel=1e-15)
+
+
 def test_mc_flat_probe_degree_one_vanishes():
     for l1 in range(1, 13):
         for m1 in range(-l1, l1 + 1):
@@ -178,16 +188,16 @@ def test_mc_coriolis_table_cell_sign():
 
 def test_critical_ratio_reference_cells():
     cell = critical_ratio(3, 2, 1)
-    assert cell.defined and cell.direction == ">"
-    assert cell.value == pytest.approx(2.983, rel=5e-3)
+    assert list(cell) == ["l1", "l2", "m2", "status", "ratio", "direction"]
+    assert (cell["l1"], cell["l2"], cell["m2"], cell["status"], cell["direction"]) == (3, 2, 1, "ok", ">")
+    assert cell["ratio"] == pytest.approx(2.983, rel=5e-3)
     cell = critical_ratio(3, 3, 3)
-    assert cell.direction == "<"
-    assert cell.value == pytest.approx(-20.35, rel=5e-3)
-    cell = critical_ratio(5, 2, 1)
-    assert not cell.defined and cell.status == "undefined"
+    assert cell["direction"] == "<"
+    assert cell["ratio"] == pytest.approx(-20.35, rel=5e-3)
+    assert critical_ratio(5, 2, 1) == {"l1": 5, "l2": 2, "m2": 1, "status": "undefined"}
     cell = critical_ratio(7, 6, 6)
-    assert cell.direction == "<"
-    assert cell.value == pytest.approx(-569.9, rel=5e-3)
+    assert cell["direction"] == "<"
+    assert cell["ratio"] == pytest.approx(-569.9, rel=5e-3)
 
 
 def test_critical_ratio_validates_orders():
@@ -199,8 +209,8 @@ def test_critical_ratio_validates_orders():
 
 def test_critical_table_even_flow_all_undefined():
     table = critical_table(4, l2_max=5)
-    assert all(not cell.defined for cell in table.values())
-    assert {cell.status for cell in table.values()} == {"undefined", "not-applicable"}
+    assert all("ratio" not in cell for cell in table.values())
+    assert {cell["status"] for cell in table.values()} == {"undefined", "not-applicable"}
 
 
 def test_critical_table_degree_one_flow():
@@ -208,24 +218,25 @@ def test_critical_table_degree_one_flow():
     # cancels and every in-range cell is sqrt(3/(4 pi)) (l2(l2+1) - 2) with
     # direction ">"; the (1, 1) cell degenerates to a zero threshold.
     table = critical_table(1, l2_max=3)
-    for cell in table.values():
-        if cell.m2 > cell.l2:
-            assert cell.status == "not-applicable"
+    for (l2, m2), cell in table.items():
+        if m2 > l2:
+            assert cell == {"l1": 1, "l2": l2, "m2": m2, "status": "not-applicable"}
             continue
-        assert cell.defined and cell.direction == ">"
-        want = math.sqrt(3 / (4 * math.pi)) * (cell.l2 * (cell.l2 + 1) - 2)
-        assert cell.value == pytest.approx(want, abs=1e-12)
+        assert cell["status"] == "ok" and cell["direction"] == ">"
+        want = math.sqrt(3 / (4 * math.pi)) * (l2 * (l2 + 1) - 2)
+        assert cell["ratio"] == pytest.approx(want, abs=1e-12)
 
 
 def test_critical_table_shape_and_signs():
     table = critical_table(3, l2_max=5)
     assert list(table) == [(l2, m2) for l2 in range(1, 6) for m2 in range(1, 6)]  # row-major
-    defined = [c for c in table.values() if c.defined]
+    defined = [c for c in table.values() if c["status"] == "ok"]
     assert len(defined) == 14
     for cell in defined:
-        assert (cell.direction == ">") == (cell.value >= 0)
-    assert table[2, 3].status == "not-applicable"
-    assert all(key == (c.l2, c.m2) and c.l1 == 3 for key, c in table.items())
+        assert type(cell["ratio"]) is float
+        assert (cell["direction"] == ">") == (cell["ratio"] >= 0)
+    assert table[2, 3]["status"] == "not-applicable"
+    assert all(key == (c["l2"], c["m2"]) and c["l1"] == 3 for key, c in table.items())
     for l2, m2 in ((6, 1), (0, 1), (1, 0), (1, 6)):
         with pytest.raises(KeyError):
             table[l2, m2]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from misiolek.exact import SignedSqrtRational, factorial, sqrt_to_float
+from misiolek.exact import SignedSqrtRational, factorial
 
 SSR = SignedSqrtRational
 
@@ -72,12 +72,14 @@ def test_ssr_from_rational_and_square():
 def test_sqrt_to_float_huge_operands():
     # numerator and denominator both overflow doubles; the quotient does not
     big = Fraction(factorial(200), factorial(198)) ** 10  # (200*199)**10
-    assert sqrt_to_float(big) == pytest.approx((200 * 199) ** 5, rel=1e-15)
+    assert SSR.sqrt(big).to_float() == pytest.approx((200 * 199) ** 5, rel=1e-15)
 
 
 def test_sqrt_to_float_overflow_is_flagged():
     with pytest.raises(OverflowError):
-        sqrt_to_float(Fraction(10) ** 700)
+        SSR.sqrt(Fraction(10) ** 700).to_float()
+    with pytest.raises(ValueError):
+        SSR.sqrt(Fraction(-1, 3))
 
 
 def fraction_sqrt_to_float(value):
@@ -103,11 +105,11 @@ def test_sqrt_to_float_bits_match_fraction_reference(p, q):
         want = fraction_sqrt_to_float(value)
     except OverflowError:
         with pytest.raises(OverflowError):
-            sqrt_to_float(value)
+            SSR.sqrt(value).to_float()
         with pytest.raises(OverflowError):
             SSR.of(1, value).to_float()
         return
-    assert sqrt_to_float(value).hex() == want.hex()
+    assert SSR.sqrt(value).to_float().hex() == want.hex()
     assert SSR.of(1, value).to_float().hex() == want.hex()
     assert SSR.of(-1, value).to_float().hex() == (-want if p else 0.0).hex()
 
@@ -151,5 +153,5 @@ def test_sqrt_to_float_matches_decimal_oracle():
     for value in (Fraction(2), Fraction(1, 3), Fraction(22680), Fraction(3, 4),
                   Fraction(10**30, 7), Fraction(1, 10**25)):
         want = float(Decimal(value.numerator).sqrt() / Decimal(value.denominator).sqrt())
-        got = sqrt_to_float(value)
+        got = SSR.sqrt(value).to_float()
         assert _ulps_apart(got, want) <= 2

@@ -228,6 +228,19 @@ def test_grid_resolution_contract(grid):
     assert oracle_structure_coeff(HarmonicIndex(6, 6), HarmonicIndex(3, 1), grid) == {}
 
 
+def test_structure_coeff_caches_only_its_input_harmonics():
+    # The duals of the order m3 = 2 are built without caching the 59 harmonics
+    # of that order, and they are the cached harmonics' duals bit for bit.
+    wide = QuadratureGrid.for_degree(60)
+    a, b = HarmonicIndex(60, 1), HarmonicIndex(59, 1)
+    column = oracle_structure_coeff(a, b, wide)
+    assert list(column) == list(range(2, 61))
+    assert sorted(wide._harmonics) == [(59, 1), (60, 1)]
+    for l3, dual in zip((2, 31, 60), (wide._order_duals[2][i] for i in (0, 29, 58))):
+        assert np.array_equal(dual, wide.harmonic(HarmonicIndex(l3, 2)).dual.ravel())
+        assert column[l3] == _projected_directly(wide, a, b, l3)
+
+
 def _suite_pairs(l_max):
     """(a, b) of every pair oracle_suite projects, in its order."""
     indices = [HarmonicIndex(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
@@ -277,8 +290,9 @@ def test_oracle_matches_exact_pipeline_small(grid):
 def test_oracle_matches_exact_pipeline_above_degree_85():
     # Sampled, not swept: each cached harmonic at L = 100 holds four complex
     # arrays of 202 x 404 nodes, 5.2 MB, and oracle_structure_coeff would cache
-    # every degree of the order m3.  The sampled projections are its values
-    # bit for bit (test_structure_coeff_is_the_direct_projection_bit_for_bit).
+    # the dual of every degree of the order m3, 1.3 MB each.  The sampled
+    # projections are its values bit for bit
+    # (test_structure_coeff_is_the_direct_projection_bit_for_bit).
     tolerance = 1e-9  # times max(1, |exact|), fixed before the run
     wide = QuadratureGrid.for_degree(100)
     pairs = (((100, 100), (99, -98)), ((90, -1), (86, 86)), ((95, 0), (88, 3)), ((87, -40), (100, 55)))

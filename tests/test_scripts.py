@@ -1,5 +1,6 @@
 """Runnable scripts, run as a user would: a fresh process in a scratch directory."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from misiolek.cli import main
+from misiolek.suites import SUITE_NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,6 +40,14 @@ def test_make_critical_tables_small_grid_still_checks_references(tmp_path):
     assert all("(ok)" in line for line in verdicts)
     header, *rows = (tmp_path / "small" / "critical_ratios_l1_3.csv").read_text().splitlines()
     assert header == "l2,m2,ratio,direction,status" and len(rows) == 16
+
+
+def test_cli_stdout_digest_runs_every_suite():
+    # A suite missing from the digest's list would drop out of its byte comparison.
+    tree = ast.parse((ROOT / "scripts" / "cli_stdout_digest.py").read_text())
+    suites = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [target.id for target in node.targets] == ["SUITES"])
+    assert ast.literal_eval(suites) == SUITE_NAMES
 
 
 def test_sweep_positivity_holds_and_caches_one_symbol_per_degree_triple(tmp_path):

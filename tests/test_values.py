@@ -15,12 +15,10 @@ import pytest
 
 import misiolek
 from misiolek.criterion import (
-    CriticalRatio,
     MCReport,
     MCSummand,
     MCValue,
     RHWave,
-    critical_ratio,
     mc_coriolis,
     mc_flat,
 )
@@ -45,7 +43,6 @@ EXAMPLES = {
     MCSummand: (mc_flat(HarmonicIndex(7, 3), HarmonicIndex(4, -2)).summands[0],
                 "MCSummand(l3=4, num=246960, den=20449, weight=36)"),
     MCReport: (mc_coriolis(HarmonicIndex(3, 0), HarmonicIndex(2, 1), Fraction(5)), None),
-    CriticalRatio: (critical_ratio(3, 2, 1), None),
     RHWave: (RHWave(A=1 + 2j, C=0.5, index=HarmonicIndex(3, 2), a=Fraction(-1, 3)),
              "RHWave(A=(Fraction(1, 1), Fraction(2, 1)), C=Fraction(1, 2), "
              "index=HarmonicIndex(l=3, m=2), alpha2=Fraction(0, 1), a=Fraction(-1, 3))"),
@@ -99,7 +96,7 @@ def test_equality_needs_the_same_type():
     assert term == BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
     assert term != BracketTerm(2, 0, term.g, 1) and term != BracketTerm(4, 0, term.g, -1)
     assert MCSummand(2, 1, 1, 1) != MCSummand(2, 1, 1, 2)
-    assert a != CriticalRatio(2, 1, 1, "x") and a.__eq__((2, 1)) is NotImplemented
+    assert a != MCSummand(2, 1, 1, 1) and a.__eq__((2, 1)) is NotImplemented
 
 
 def _modules():
