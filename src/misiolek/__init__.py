@@ -7,7 +7,7 @@ re-derives every structure constant from pointwise Poisson brackets.
 """
 
 from .exact import SignedSqrtRational, factorial
-from .structure import HarmonicIndex, bracket_expand, g_real
+from .structure import HarmonicIndex, bracket_coefficient, bracket_expand, g_real
 from .wigner import (
     ClosedFormDomainError,
     threej_closed_110,
@@ -38,6 +38,7 @@ __all__ = [
     "MCValue",
     "RHWave",
     "SignedSqrtRational",
+    "bracket_coefficient",
     "bracket_expand",
     "conjugate_time",
     "critical_ratio",

@@ -30,7 +30,7 @@ from .criterion import (
     rhw_threshold,
 )
 from .exact import SignedSqrtRational
-from .structure import HarmonicIndex, bracket_expand
+from .structure import HarmonicIndex, bracket_coefficient, bracket_expand
 from .suites import SUITE_NAMES, run_suite, suite_cap
 from .wigner import selection_rules_hold, threej_lm
 
@@ -119,16 +119,17 @@ def cmd_wigner3j(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
 def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     a = _harmonic(parser, *args.a, what="--a")
     b = _harmonic(parser, *args.b, what="--b")
+    m3 = a.m + b.m
     expansion = bracket_expand(a, b)
-    for term in expansion.values():
-        coeff = term.coefficient()
+    for l3, g in expansion.items():
+        coeff = bracket_coefficient(m3, g)
         _emit({
             "request": {"a": [a.l, a.m], "b": [b.l, b.m]},
             "status": "ok",
-            "l3": term.l3,
-            "m3": term.m3,
-            "phase": "-i" if term.phase_imag < 0 else "+i",
-            "g": _ssr_json(term.g, pi_exp=-0.5),
+            "l3": l3,
+            "m3": m3,
+            "phase": "+i" if m3 % 2 else "-i",  # the unit -i*(-1)^m3
+            "g": _ssr_json(g, pi_exp=-0.5),
             "coefficient": [coeff.real, coeff.imag],
         }, sys.stdout)
     if not expansion:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .checks import SuiteResult
@@ -332,12 +333,65 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
     return MCReport(summands, constant, slope, wave.a)
 
 
+@lru_cache(maxsize=None)
+def _pi_bracket(bits: int) -> Tuple[int, int]:
+    """Integers (lo, hi), hi - lo <= 2, with lo <= pi * 2**bits <= hi.
+
+    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point with guard
+    bits.  Every series term is floored, so each arctangent is off by less
+    than one unit per term plus one for the dropped tail, and the bracket
+    widens the sum by that bound.
+    """
+    scale = bits + bits.bit_length() + 8
+    one = 1 << scale
+
+    def atan_inverse(x: int) -> Tuple[int, int]:
+        """(floor-summed atan(1/x) * 2**scale, its error bound in units)."""
+        total, power, k = 0, one // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a5, e5 = atan_inverse(5)
+    a239, e239 = atan_inverse(239)
+    approx, error = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    guard = scale - bits
+    return (approx - error) >> guard, -((-(approx + error)) >> guard)
+
+
+def _pi_times(x: Fraction) -> float:
+    """pi * x correctly rounded to a double; an infinity if it leaves double range.
+
+    pi * x is irrational for x != 0, so it is never a midpoint between two
+    doubles, and doubling the bits of the bracket of pi ends once both ends
+    round alike.
+    """
+    if not x:
+        return 0.0
+    bits = 64
+    while True:
+        ends = []
+        for end in _pi_bracket(bits):
+            try:
+                ends.append(x.numerator * end / (x.denominator << bits))  # int / int rounds once
+            except OverflowError:
+                ends.append(math.inf if x > 0 else -math.inf)
+        if ends[0] == ends[1]:
+            return ends[0]
+        bits *= 2
+
+
 def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
     """Minimal |A|^2/C^2 making the wave criterion positive at rate a = -K*C.
 
-    Equals m^2 (m(m+1) - 2 - K) / MC(e_{l1 m1}, e_{m -m}); the hypothesis
-    2 <= m <= m1 <= l1 keeps the denominator positive.  A finite K whose
-    threshold overflows a float raises OverflowError.
+    Equals pi * R with R = m^2 (m(m+1) - 2 - K) / flat_over_pi, where
+    MC(e_{l1 m1}, e_{m -m}) = flat_over_pi / pi; the hypothesis
+    2 <= m <= m1 <= l1 keeps the denominator positive.  R is exact (K enters
+    as the rational its value is) and the float is pi * R correctly rounded.
+    A finite K whose threshold overflows a float raises OverflowError.
     """
     if not 2 <= m <= m1 <= l1:
         raise ValueError("requires 2 <= m <= m1 <= l1")
@@ -345,11 +399,10 @@ def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
         raise ValueError("requires a finite K")
     if K < 0:
         raise ValueError("requires K >= 0")
-    flat = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
-    denom = float(flat.flat_over_pi) / math.pi
-    if denom <= 0:
+    flat_over_pi = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m)).flat_over_pi
+    if flat_over_pi <= 0:
         raise CriterionDefect(f"criterion not positive for ({l1},{m1}) vs ({m},{-m})")
-    threshold = m * m * (_turn(m) - 2 - K) / denom
+    threshold = _pi_times(m * m * (_turn(m) - 2 - Fraction(K)) / flat_over_pi)
     if not math.isfinite(threshold):
         raise OverflowError(f"threshold for K={K!r} exceeds double range")
     return threshold

@@ -4,8 +4,10 @@ Everything here is floating point on purpose: harmonics are evaluated
 pointwise from one normalised Legendre recurrence, Poisson brackets are
 formed from analytic derivatives on a Gauss-Legendre x uniform grid, and
 structure constants are recovered by projection, one bracket per pair and
-one dot product per output degree.  Agreement with the exact Dowker
-pipeline is the central anti-drift check of the whole artifact.
+one dot product per output degree.  The Gauss-Legendre rule comes from the
+same recurrence, by Newton's method on its zonal member, so the oracle
+needs nothing from numpy beyond array arithmetic.  Agreement with the exact
+Dowker pipeline is the central anti-drift check of the whole artifact.
 
 The recurrence carries only factors of order one, so no degree leaves double
 range; the grid's memory is the only cap on the degree it resolves.
@@ -61,6 +63,44 @@ def normalised_legendre(l: int, m: int, mu: ArrayLike) -> Tuple[np.ndarray, np.n
     return p, (step * below - l * mu * p) / (1.0 - mu * mu)
 
 
+#: Newton steps allowed for a Gauss-Legendre rule; from the cosine guesses
+#: every rule of 2 to 1000 nodes settles within five.
+_NEWTON_STEPS = 10
+#: A Newton step this small leaves the nodes at their double-precision roots.
+_NEWTON_TOLERANCE = 4 * 2.0 ** -52
+
+
+def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The nodes are the roots of ``normalised_legendre(n, 0, .)``, found by
+    Newton's method from the guesses cos(pi (k - 1/4) / (n + 1/2)), one per
+    root in (0, 1); the weight of a node mu is (2n+1) / (2 pi (1-mu^2) P'(mu)^2),
+    the classical 2 / ((1-mu^2) P_n'(mu)^2) in the recurrence's normalisation.
+    The positive half is mirrored, so ``mu[::-1] == -mu`` and
+    ``w[::-1] == w`` hold exactly, and an odd n has the node 0.0.  Raises
+    ArithmeticError if a Newton step is still above 4 eps after
+    ``_NEWTON_STEPS`` steps.
+    """
+    if n < 2:
+        raise ValueError("requires n >= 2")
+    k = np.arange(1, n // 2 + 1)
+    x = np.cos(math.pi * (k - 0.25) / (n + 0.5))  # descending in (0, 1)
+    for _ in range(_NEWTON_STEPS):
+        p, dp = normalised_legendre(n, 0, x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= _NEWTON_TOLERANCE:
+            break
+    else:
+        raise ArithmeticError(f"Newton iteration for the {n}-point rule did not settle")
+    x = np.append(x, [0.0] * (n % 2))  # P_n(0) = 0 exactly for odd n
+    _, dp = normalised_legendre(n, 0, x)
+    w = (2 * n + 1) / (2.0 * math.pi * (1.0 - x * x) * dp * dp)
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
 class GridFunction:
     """Complex samples on a grid with analytic derivative fields alongside.
 
@@ -84,9 +124,10 @@ class GridFunction:
 class QuadratureGrid:
     """Gauss-Legendre nodes in mu times a uniform periodic rule in lambda.
 
-    With n_mu >= l_max+1 the mu rule is exact for polynomial integrands up
-    to degree 2 l_max + 1 and the lambda rule for trigonometric orders up to
-    n_lam - 1; the sizing below leaves margin for triple products.
+    The mu rule is ``gauss_legendre(n_mu)``.  With n_mu >= l_max+1 it is
+    exact for polynomial integrands up to degree 2 l_max + 1, and the lambda
+    rule for trigonometric orders up to n_lam - 1; the sizing below leaves
+    margin for triple products.
     """
 
     def __init__(self, l_max: int, mu: np.ndarray, mu_weights: np.ndarray, lam: np.ndarray,
@@ -107,7 +148,7 @@ class QuadratureGrid:
             raise ValueError("l_max must be nonnegative")
         n_mu = 2 * l_max + 2
         n_lam = 4 * l_max + 4
-        mu, w = np.polynomial.legendre.leggauss(n_mu)
+        mu, w = gauss_legendre(n_mu)
         lam = 2.0 * math.pi * np.arange(n_lam) / n_lam
         return cls(l_max, mu, w, lam, 2.0 * math.pi / n_lam)
 

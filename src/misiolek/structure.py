@@ -2,11 +2,11 @@
 
 The Poisson bracket of two spherical harmonics expands over a short band of
 output degrees; the real constants g carry all magnitudes and the complex
-phase is the discrete unit -i*(-1)^(m1+m2), tracked as a tag instead of a
-complex float.  A constant is held as the SignedSqrtRational ``r`` of its
+phase is the discrete unit -i*(-1)^(m1+m2), which the orders fix, so an
+expansion holds only the constants.  A constant is held as the SignedSqrtRational ``r`` of its
 value ``r / sqrt(pi)``: the 1/sqrt(pi) factor is implicit, so ``r.radicand``
 is the exact coefficient of 1/pi in g**2, and it enters a float only in
-``BracketTerm.coefficient``.
+``bracket_coefficient``.
 """
 
 from __future__ import annotations
@@ -77,42 +77,29 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
         -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den)
 
 
-class BracketTerm(Frozen):
-    """One output harmonic of a Poisson bracket expansion.
+def bracket_coefficient(m3: int, g: SignedSqrtRational) -> complex:
+    """The complex coefficient -i*(-1)^m3 * g / sqrt(pi) of a bracket term.
 
-    The complex coefficient is ``phase * g / sqrt(pi)`` where phase is the
-    unit -i*(-1)^(m1+m2), stored as its imaginary part (+1 or -1), and ``g``
-    is the root returned by ``g_real``.  Terms are immutable.
+    ``g`` is the root of a ``bracket_expand`` term and m3 = m1 + m2 the order
+    of its output harmonic.
     """
-
-    __slots__ = _fields = ("l3", "m3", "g", "phase_imag")
-
-    def __init__(self, l3: int, m3: int, g: SignedSqrtRational, phase_imag: int) -> None:
-        set_l3, set_m3, set_g, set_phase_imag = self._writers
-        set_l3(self, l3)
-        set_m3(self, m3)
-        set_g(self, g)
-        set_phase_imag(self, phase_imag)
-
-    def coefficient(self) -> complex:
-        # Scale before the phase: the sign of the real part's zero depends on it.
-        return complex(0.0, self.phase_imag) * (self.g.to_float() * _PI_POWER)
+    # Scale before the phase: the sign of the real part's zero depends on it.
+    return complex(0.0, -_parity(m3)) * (g.to_float() * _PI_POWER)
 
 
-def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> Dict[int, BracketTerm]:
-    """Expand the Poisson bracket of two harmonics as ``{l3: term}``.
+def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> Dict[int, SignedSqrtRational]:
+    """Expand the Poisson bracket of two harmonics as ``{l3: g}``.
 
-    The keys ascend and zero terms are dropped.  Degree-zero inputs (constant
-    stream functions) and zonal pairs commute, so they give ``{}``.  Every
-    other pair takes its m-symbols from one ``threej_band`` recurrence, and
-    each term is ``g_real``'s value, reduced once from the band's unreduced
-    square.
+    {Y_a, Y_b} is the sum over l3 of ``bracket_coefficient(a.m + b.m, g)``
+    times Y_{l3, a.m+b.m}.  The keys ascend and zero terms are dropped.
+    Degree-zero inputs (constant stream functions) and zonal pairs commute,
+    so they give ``{}``.  Every other pair takes its m-symbols from one
+    ``threej_band`` recurrence, and each g is ``g_real``'s value, reduced
+    once from the band's unreduced square.
     """
     l1, m1, l2, m2 = a.l, a.m, b.l, b.m
     if l1 == 0 or l2 == 0 or m1 == m2 == 0:
         return {}
-    m3 = m1 + m2
-    phase_imag = -_parity(m3)  # imaginary part of -i*(-1)^(m1+m2)
     pair = (2 * l1 + 1) * (2 * l2 + 1) * l1 * (l1 + 1) * l2 * (l2 + 1)  # L123^2 / (2 l3 + 1)
     terms = []
     # g vanishes unless l1 + l2 + l3 is odd with |l1 - l2| < l3 < l1 + l2.  The
@@ -124,10 +111,9 @@ def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> Dict[int, BracketTerm]
             continue
         flat = threej_lm(l1, l2, l3, 1, -1, 0)
         # -1/sqrt(4) * L123 * (m-symbol) * flat as one radicand, as in g_real.
-        g = SignedSqrtRational._reduce(
-            -sign * flat.sign, (2 * l3 + 1) * pair * num * flat.num, 4 * den * flat.den)
-        terms.append(BracketTerm(l3, m3, g, phase_imag))
-    return {t.l3: t for t in reversed(terms)}
+        terms.append((l3, SignedSqrtRational._reduce(
+            -sign * flat.sign, (2 * l3 + 1) * pair * num * flat.num, 4 * den * flat.den)))
+    return dict(reversed(terms))
 
 
 def validate_symmetries(res: SuiteResult, l_max: int) -> None:

@@ -25,7 +25,14 @@ from .criterion import (
 )
 from .oracle import QuadratureGrid, oracle_structure_coeff
 from .reference import REFERENCE_RATIOS, REFERENCE_TOLERANCE, REFERENCE_UNDEFINED
-from .structure import HarmonicIndex, _is_negation, bracket_expand, g_real, validate_symmetries
+from .structure import (
+    HarmonicIndex,
+    _is_negation,
+    bracket_coefficient,
+    bracket_expand,
+    g_real,
+    validate_symmetries,
+)
 from .wigner import (
     ClosedFormDomainError,
     threej_closed_110,
@@ -180,8 +187,8 @@ def structure_suite(l_max: int = 10) -> SuiteResult:
                 if list(left) != list(right):
                     antisymmetry.append((pair, f"bracket antisymmetry degrees off at ({la},{ma},{lb},{mb})"))
                     continue
-                for l3, t in left.items():
-                    if not _is_negation(right[l3].g, t.g):
+                for l3, g in left.items():
+                    if not _is_negation(right[l3], g):
                         antisymmetry.append((pair, f"bracket antisymmetry off at ({la},{ma},{lb},{mb},{l3})"))
     # Stable: in (l1, m1, l2, m2) order, and per pair in ascending l3.
     antisymmetry.sort(key=itemgetter(0))
@@ -220,8 +227,8 @@ def oracle_suite(l_max: int = 6) -> SuiteResult:
             expansion = bracket_expand(a, b)
             for l3, got in oracle_structure_coeff(a, b, grid).items():
                 res.checks += 1
-                term = expansion.get(l3)
-                dev = abs(got - (0j if term is None else term.coefficient()))
+                g = expansion.get(l3)
+                dev = abs(got - (0j if g is None else bracket_coefficient(m3, g)))
                 worst = max(worst, dev)
                 if dev > ORACLE_TOLERANCE:
                     res.fail(f"structure coefficient off at ({a},{b},l3={l3}): dev {dev:.2e}")

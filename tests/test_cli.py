@@ -300,7 +300,8 @@ def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
 @pytest.mark.parametrize("argv", [
     ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e308"),
     ("rhw", "--A", "1e200", "0", "--wave", "3", "2", "--probe", "3", "2"),
-    ("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "1e308"),
+    # The threshold 4 pi (4 - K) / 10 leaves double range for K > 1.43e308.
+    ("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "1.5e308"),
     # The echoed rotation -K*C overflows, though the criterion's float does not.
     ("rhw", "--wave", "3", "2", "--probe", "2", "0", "--K", "1e300", "--C", "1e300", "--A", "1", "0"),
     # Each component's float is finite, but their sum is not.

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,15 +337,42 @@ def test_rhw_threshold_properties():
         rhw_threshold(3, 2, 1)
     with pytest.raises(ValueError):
         rhw_threshold(3, 4, 2)
-    # A finite K whose threshold leaves the float range raises, never -inf.
+    # A finite K whose threshold leaves the float range raises, never -inf:
+    # the threshold is 4 pi (4 - K) / 10, so K = 1e308 stays in range.
+    assert rhw_threshold(3, 2, 2, K=1e308) == -1.2566370614359173e308
     with pytest.raises(OverflowError):
-        rhw_threshold(3, 2, 2, K=1e308)
+        rhw_threshold(3, 2, 2, K=1.5e308)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
 def test_rhw_threshold_rejects_non_finite_K(K):
     with pytest.raises(ValueError, match="finite K"):
         rhw_threshold(3, 2, 2, K=K)
+
+
+def test_rhw_threshold_is_pi_times_the_exact_ratio_correctly_rounded():
+    # pi R, R = m^2 (m(m+1) - 2 - K) / flat_over_pi, against mpmath at 40
+    # digits, for K = 0.00 .. 3.25 by hundredths as the CLI reads them (exact
+    # decimals) and as floats.  Before the threshold was formed from R, about
+    # half of these floats were one ulp off.
+    off = []
+    for l1, m1, m in ((3, 2, 2), (4, 3, 2), (4, 3, 3), (5, 3, 2), (5, 3, 3), (6, 4, 4)):
+        flat_over_pi = mc_flat(H(l1, m1), H(m, -m)).flat_over_pi
+        for k in range(326):
+            for K in (Fraction(k, 100), k / 100):
+                ratio = m * m * (m * (m + 1) - 2 - Fraction(K)) / flat_over_pi
+                with mpmath.workdps(40):
+                    want = float(mpmath.pi * ratio.numerator / ratio.denominator)
+                if rhw_threshold(l1, m1, m, K=K) != want:
+                    off.append((l1, m1, m, K))
+    assert off == []
+
+
+def test_pi_bracket_holds_pi():
+    for bits in (64, 128, 1024, 2048):
+        lo, hi = misiolek.criterion._pi_bracket(bits)
+        with mpmath.workprec(bits + 64):
+            assert lo <= mpmath.pi * 2 ** bits <= hi and hi - lo <= 2
 
 
 @pytest.mark.parametrize("l1,m1,m", [(3, 2, 2), (5, 3, 2), (5, 3, 3)])

@@ -1,19 +1,26 @@
 """Quadrature oracle: the Legendre recurrence, harmonics, brackets, projections."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import misiolek.oracle
 from misiolek.oracle import (
     GridFunction,
     QuadratureGrid,
+    gauss_legendre,
     normalised_legendre,
     oracle_structure_coeff,
     poisson_bracket,
 )
-from misiolek.structure import HarmonicIndex, bracket_expand
+from misiolek.structure import HarmonicIndex, bracket_coefficient, bracket_expand
 from misiolek.suites import oracle_suite
 
 
@@ -83,6 +90,99 @@ def test_legendre_derivative_matches_finite_differences():
         numeric = (normalised_legendre(l, m, mus + h)[0] - normalised_legendre(l, m, mus - h)[0]) / (2 * h)
         assert np.allclose(normalised_legendre(l, m, mus)[1], numeric,
                            rtol=1e-6, atol=1e-5 * normalisation(l, m))
+
+
+#: Rule sizes checked against the high-precision reference: every n to 64,
+#: then odd and even sizes up to 300.
+RULE_SIZES = [*range(2, 65), 100, 101, 150, 151, 200, 255, 256, 299, 300]
+
+
+def reference_rule(n, start):
+    """Roots of P_n and their weights 2 (1-x^2) / (n P_{n-1}(x))^2 as Fractions.
+
+    Newton's method in binary fixed point with 200 fraction bits, on the
+    unnormalised recurrence k P_k = (2k-1) x P_{k-1} - (k-1) P_{k-2}, from
+    the given double-precision starting points; each result is good to far
+    below 2^-100.
+    """
+    bits = 200
+    one = 1 << bits
+
+    def legendre(x):  # (P_{n-1}(x), P_n(x)) scaled by 2^bits
+        below, p = one, x
+        for k in range(2, n + 1):
+            below, p = p, (((2 * k - 1) * x * p >> bits) - (k - 1) * below) // k
+        return below, p
+
+    rule = []
+    for start_x in start:
+        x = int(Fraction(start_x) * one)
+        for _ in range(4):
+            below, p = legendre(x)
+            dp = n * ((x * p >> bits) - below) * one // ((x * x >> bits) - one)
+            x -= p * one // dp
+        below, _ = legendre(x)
+        rule.append((Fraction(x, one), Fraction(2 * (one * one - x * x), (n * below) ** 2)))
+    return rule
+
+
+def test_gauss_legendre_matches_the_reference_rule():
+    # Absolute errors, in units of the spacing of doubles in [1, 2): the
+    # nodes lie in (-1, 1) and the weights add up to 2.  The two weights next
+    # to the poles are small and ill-conditioned relative to their own size.
+    ulp = Fraction(math.ulp(1.0))
+    for n in RULE_SIZES:
+        mu, w = gauss_legendre(n)
+        for got_mu, got_w, (want_mu, want_w) in zip(mu, w, reference_rule(n, mu)):
+            assert abs(Fraction(float(got_mu)) - want_mu) <= ulp, (n, got_mu)
+            assert abs(Fraction(float(got_w)) - want_w) <= 4 * ulp, (n, got_mu)
+
+
+def test_gauss_legendre_integrates_polynomials():
+    # Sum w = 2, and sum w mu^k = 2/(k+1) for even k <= 2n-1 (odd k vanish by
+    # the mirror symmetry below).
+    for n in RULE_SIZES:
+        mu, w = gauss_legendre(n)
+        for k in range(0, 2 * n, 2):
+            assert abs(math.fsum(w * mu ** k) - 2 / (k + 1)) <= 16 * math.ulp(1.0), (n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 14, 15, 299, 300])
+def test_gauss_legendre_is_mirrored(n):
+    mu, w = gauss_legendre(n)
+    assert len(mu) == len(w) == n
+    assert np.all(np.diff(mu) > 0) and -1 < mu[0] and mu[-1] < 1
+    assert np.array_equal(mu[::-1], -mu) and np.array_equal(w[::-1], w)
+    if n % 2:
+        assert mu[n // 2] == 0.0 and math.copysign(1.0, mu[n // 2]) == 1.0
+
+
+def test_gauss_legendre_domain_and_convergence(monkeypatch):
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError):
+            gauss_legendre(n)
+    # From the cosine guesses no rule settles in one Newton step.
+    monkeypatch.setattr(misiolek.oracle, "_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        gauss_legendre(14)
+
+
+def test_grid_nodes_are_the_gauss_legendre_rule(grid):
+    mu, w = gauss_legendre(14)
+    assert np.array_equal(grid.mu, mu) and np.array_equal(grid.mu_weights, w)
+
+
+def test_oracle_suite_leaves_numpy_polynomial_unloaded():
+    # The grid's rule comes from the oracle's own recurrence, so neither the
+    # suite nor the package imports numpy.polynomial.
+    code = ("import sys; from misiolek.suites import run_suite; "
+            "assert run_suite('oracle', 2).ok; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_ylm_constant_mode(grid):
@@ -282,8 +382,8 @@ def test_oracle_matches_exact_pipeline_small(grid):
         for b in indices:
             expansion = bracket_expand(a, b)
             for l3, got in oracle_structure_coeff(a, b, grid).items():
-                term = expansion.get(l3)
-                worst = max(worst, abs(got - (0j if term is None else term.coefficient())))
+                g = expansion.get(l3)
+                worst = max(worst, abs(got - (0j if g is None else bracket_coefficient(a.m + b.m, g))))
     assert worst < 1e-12
 
 
@@ -301,7 +401,7 @@ def test_oracle_matches_exact_pipeline_above_degree_85():
         expansion = bracket_expand(a, b)
         m3 = abs(m1 + m2)
         for l3 in (m3, m3 + 1, (m3 + 100) // 2, 99, 100):
-            term = expansion.get(l3)
-            exact = 0j if term is None else term.coefficient()
+            g = expansion.get(l3)
+            exact = 0j if g is None else bracket_coefficient(m1 + m2, g)
             got = _projected_directly(wide, a, b, l3)
             assert abs(got - exact) <= tolerance * max(1.0, abs(exact)), (l1, m1, l2, m2, l3)

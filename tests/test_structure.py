@@ -14,9 +14,9 @@ from misiolek.checks import SuiteResult
 from misiolek.criterion import mc_flat
 from misiolek.exact import SignedSqrtRational
 from misiolek.structure import (
-    BracketTerm,
     HarmonicIndex,
     _l123_squared,
+    bracket_coefficient,
     bracket_expand,
     g_real,
     validate_symmetries,
@@ -120,7 +120,7 @@ def test_bracket_with_rotation_generator():
     for l2, m2 in ((2, 1), (3, -2), (5, 4)):
         expansion = bracket_expand(HarmonicIndex(1, 0), HarmonicIndex(l2, m2))
         assert list(expansion) == [l2]
-        coeff = expansion[l2].coefficient()
+        coeff = bracket_coefficient(m2, expansion[l2])
         assert coeff.real == pytest.approx(0.0, abs=1e-15)
         assert abs(coeff) == pytest.approx(abs(m2) * math.sqrt(3 / (4 * math.pi)), rel=1e-14)
         # {mu, Y} = -i m Y scaled by sqrt(3/(4 pi)): the coefficient is -i m g-style
@@ -128,12 +128,12 @@ def test_bracket_with_rotation_generator():
 
 
 def test_bracket_lookup_by_degree():
-    # Each key is its term's l3, the keys ascend, and a degree off the expansion is a KeyError.
+    # Each value is a nonzero root, the keys ascend, and a degree off the expansion is a KeyError.
     indices = [HarmonicIndex(l, m) for l in range(6) for m in range(-l, l + 1)]
     for a in indices:
         for b in indices:
             expansion = bracket_expand(a, b)
-            assert all(l3 == term.l3 for l3, term in expansion.items()), (a, b)
+            assert all(type(g) is SSR and not g.is_zero() for g in expansion.values()), (a, b)
             assert list(expansion) == sorted(expansion), (a, b)
             for l3 in range(a.l + b.l + 2):
                 if l3 not in expansion:
@@ -142,15 +142,16 @@ def test_bracket_lookup_by_degree():
 
 
 def test_bracket_coefficient_float_is_pinned():
-    # The float is the root's float times 1/sqrt(pi), then times the phase;
-    # its bits, signed zeros included, reach the CLI's JSON output.
+    # The float is the root's float times 1/sqrt(pi), then times the phase
+    # -i*(-1)^m3; its bits, signed zeros included, reach the CLI's JSON output.
     indices = [HarmonicIndex(l, m) for l in range(7) for m in range(-l, l + 1)]
     for a in indices:
         for b in indices:
-            for term in bracket_expand(a, b).values():
-                want = complex(0, term.phase_imag) * (term.g.to_float() * math.pi ** -0.5)
-                got = term.coefficient()
-                assert got == want and repr(got) == repr(want), (a, b, term.l3)
+            m3 = a.m + b.m
+            for l3, g in bracket_expand(a, b).items():
+                want = complex(0, 1 if m3 % 2 else -1) * (g.to_float() * math.pi ** -0.5)
+                got = bracket_coefficient(m3, g)
+                assert got == want and repr(got) == repr(want), (a, b, l3)
 
 
 def test_bracket_of_identical_fields_is_empty():
@@ -165,7 +166,6 @@ def test_bracket_zero_degree_input():
 def test_bracket_band_and_parity():
     expansion = bracket_expand(HarmonicIndex(2, 1), HarmonicIndex(3, -1))
     assert list(expansion) == [2, 4]  # range [2, 4], parity excludes 3
-    assert all(term.m3 == 0 for term in expansion.values())  # m3 = m1 + m2
     for l3 in expansion:
         assert (2 + 3 + l3) % 2 == 1
 
@@ -176,10 +176,7 @@ def test_bracket_expansion_value_semantics():
     a, b = HarmonicIndex(2, 1), HarmonicIndex(3, -1)
     expansion = bracket_expand(a, b)
     assert type(expansion) is dict
-    assert expansion == {
-        2: BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1),
-        4: BracketTerm(4, 0, SSR.of(-1, Fraction(125, 14)), -1),
-    }
+    assert expansion == {2: SSR.of(-1, Fraction(18, 7)), 4: SSR.of(-1, Fraction(125, 14))}
     expansion.clear()
     again = bracket_expand(a, b)
     assert list(again) == [2, 4] and again is not expansion
@@ -207,10 +204,10 @@ def test_bracket_antisymmetry():
                     left = bracket_expand(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2))
                     right = bracket_expand(HarmonicIndex(l2, m2), HarmonicIndex(l1, m1))
                     assert list(left) == list(right)
-                    for l3, term in left.items():
-                        mirror = right[l3]
-                        assert mirror.g == -term.g
-                        assert mirror.phase_imag == term.phase_imag
+                    for l3, g in left.items():
+                        assert right[l3] == -g
+                        m3 = m1 + m2
+                        assert bracket_coefficient(m3, right[l3]) == -bracket_coefficient(m3, g)
 
 
 def _symmetries(l_max):

@@ -23,7 +23,7 @@ from misiolek.criterion import (
     mc_flat,
 )
 from misiolek.exact import Frozen, SignedSqrtRational
-from misiolek.structure import BracketTerm, HarmonicIndex
+from misiolek.structure import HarmonicIndex
 from misiolek.wigner import threej_lm
 
 SSR = SignedSqrtRational
@@ -34,9 +34,6 @@ EXAMPLES = {
     SignedSqrtRational: (threej_lm(3, 2, 1, 1, -1, 0),
                          "SignedSqrtRational(sign=1, radicand=Fraction(8, 105))"),
     HarmonicIndex: (HarmonicIndex(2, -1), "HarmonicIndex(l=2, m=-1)"),
-    BracketTerm: (BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1),
-                  "BracketTerm(l3=2, m3=0, g=SignedSqrtRational(sign=-1, "
-                  "radicand=Fraction(18, 7)), phase_imag=-1)"),
     MCValue: (MCValue(Fraction(2), Fraction(-3), SSR.of(1, Fraction(9, 4))),
               "MCValue(rational=Fraction(2, 1), over_pi=Fraction(-3, 1), "
               "root_over_sqrt_pi=SignedSqrtRational(sign=1, radicand=Fraction(9, 4)))"),
@@ -92,9 +89,7 @@ def test_cached_values_are_shared():
 
 def test_equality_needs_the_same_type():
     a = HarmonicIndex(2, 1)
-    term = BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
-    assert term == BracketTerm(2, 0, SSR.of(-1, Fraction(18, 7)), -1)
-    assert term != BracketTerm(2, 0, term.g, 1) and term != BracketTerm(4, 0, term.g, -1)
+    assert a == HarmonicIndex(2, 1) and a != HarmonicIndex(2, -1)
     assert MCSummand(2, 1, 1, 1) != MCSummand(2, 1, 1, 2)
     assert a != MCSummand(2, 1, 1, 1) and a.__eq__((2, 1)) is NotImplemented
 
