@@ -3,8 +3,10 @@
 Every criterion value is carried exactly: flat criteria are rationals over
 pi, the Coriolis correction for zonal flows adds a rotation rate times a
 structure constant (a radical over sqrt(pi)), and wave criteria stay fully
-rational once amplitudes are taken exactly.  Floats appear only at the final
-critical-ratio and threshold divisions, where a bare radical survives.
+rational once amplitudes are taken exactly.  Floats appear only in the
+critical ratio and the wave threshold, where pi survives: each is its exact
+value (the square root of a rational over pi, or pi times a rational)
+correctly rounded to a double.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .checks import SuiteResult
 from .exact import Frozen, SignedSqrtRational
@@ -28,10 +30,6 @@ class OrderCollisionError(ValueError):
 
 class CriterionDefect(AssertionError):
     """An exact identity of the criterion failed; this is a library defect."""
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _turn(l: int) -> int:
@@ -113,13 +111,26 @@ class MCSummand(Frozen):
         return Fraction(self.num * self.weight, self.den)
 
 
+def _flat_sum(summands: Sequence[MCSummand]) -> Tuple[int, int]:
+    """Sum of the summand contributions as ``(num, den)``, over one common ``den > 0``.
+
+    Left unreduced: the sum's sign is that of ``num``, read without a gcd.
+    """
+    num, den = 0, 1
+    for s in summands:
+        num = num * s.den + s.num * s.weight * den
+        den *= s.den
+    return num, den
+
+
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
-    m3 = -(a.m + b.m)
-    turn = _turn(a.l)
+    l1, m1, l2, m2 = a.l, a.m, b.l, b.m
+    m3 = -(m1 + m2)
+    turn = _turn(l1)
     out = []
     # g vanishes when l1 + l2 + l3 is even, so only every other l3 is visited.
-    for l3 in range(abs(a.l - b.l) + 1, a.l + b.l, 2):
-        root = g_real(a.l, a.m, b.l, b.m, l3, m3)
+    for l3 in range(abs(l1 - l2) + 1, l1 + l2, 2):
+        root = g_real(l1, m1, l2, m2, l3, m3)
         if root.sign:
             out.append(MCSummand(l3, root.num, root.den, turn - _turn(l3)))
     return tuple(out)
@@ -149,12 +160,8 @@ class MCReport(Frozen):
 
     @property
     def flat_over_pi(self) -> Fraction:
-        """Sum of the summand contributions, over one common denominator."""
-        num, den = 0, 1
-        for s in self.summands:
-            num = num * s.den + s.num * s.weight * den
-            den *= s.den
-        return Fraction(num, den)
+        """Sum of the summand contributions, reduced once."""
+        return Fraction(*_flat_sum(self.summands))
 
     @property
     def coriolis_term(self) -> MCValue:
@@ -244,6 +251,12 @@ def critical_ratio(l1: int, l2: int, m2: int) -> dict:
     ratio give conjugate points, "<" when rates below do.  Status
     "undefined" marks a vanishing denominator and carries no ratio, so it
     is never read as numeric zero.
+
+    With MC = F/pi and the slope s*sqrt(rho/pi), the ratio is
+    -s*F/sqrt(pi*rho), that is +-sqrt(X/pi) for the exact rational
+    X = F^2/rho; the float is that value correctly rounded (a zero F gives
+    a zero of the sign that -F/s has).  A ratio outside double range raises
+    OverflowError.
     """
     if not 1 <= m2 <= l2:
         raise ValueError("requires 1 <= m2 <= l2")
@@ -254,10 +267,15 @@ def critical_ratio(l1: int, l2: int, m2: int) -> dict:
     denom = slope.root_over_sqrt_pi
     if denom.is_zero():
         return cell
-    flat = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2))
-    numerator = -float(flat.flat_over_pi) / math.pi
-    cell.update(status="ok", ratio=numerator / (denom.to_float() / math.sqrt(math.pi)),
-                direction=">" if denom.sign > 0 else "<")
+    flat = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2)).flat_over_pi
+    sign = -denom.sign * ((flat > 0) - (flat < 0))
+    if sign:
+        ratio = sign * _sqrt_over_pi(flat * flat / denom.radicand)
+        if not math.isfinite(ratio):
+            raise OverflowError(f"critical ratio for ({l1}, {l2}, {m2}) exceeds double range")
+    else:
+        ratio = math.copysign(0.0, -denom.sign)
+    cell.update(status="ok", ratio=ratio, direction=">" if denom.sign > 0 else "<")
     return cell
 
 
@@ -362,26 +380,52 @@ def _pi_bracket(bits: int) -> Tuple[int, int]:
     return (approx - error) >> guard, -((-(approx + error)) >> guard)
 
 
-def _pi_times(x: Fraction) -> float:
-    """pi * x correctly rounded to a double; an infinity if it leaves double range.
+def _round_irrational(ends: Callable[[int], Tuple[Tuple[int, int], Tuple[int, int]]]) -> float:
+    """The double nearest an irrational value; an infinity if it leaves double range.
 
-    pi * x is irrational for x != 0, so it is never a midpoint between two
-    doubles, and doubling the bits of the bracket of pi ends once both ends
-    round alike.
+    ``ends(bits)`` gives two fractions ``(num, den)``, ``den > 0``, with the
+    value between them, closing in on it as ``bits`` grows.  An irrational
+    value is never a midpoint between two doubles, and rounding is monotone,
+    so doubling the bits ends once both ends round alike, to the value's
+    double.
     """
-    if not x:
-        return 0.0
     bits = 64
     while True:
-        ends = []
-        for end in _pi_bracket(bits):
+        rounded = []
+        for num, den in ends(bits):
             try:
-                ends.append(x.numerator * end / (x.denominator << bits))  # int / int rounds once
+                rounded.append(num / den)  # int / int rounds once
             except OverflowError:
-                ends.append(math.inf if x > 0 else -math.inf)
-        if ends[0] == ends[1]:
-            return ends[0]
+                rounded.append(math.inf if num > 0 else -math.inf)
+        if rounded[0] == rounded[1]:
+            return rounded[0]
         bits *= 2
+
+
+def _pi_times(x: Fraction) -> float:
+    """pi * x correctly rounded to a double; an infinity if it leaves double range."""
+    if not x:
+        return 0.0
+    p, q = x.numerator, x.denominator
+    return _round_irrational(lambda bits: tuple((p * end, q << bits) for end in _pi_bracket(bits)))
+
+
+def _sqrt_over_pi(x: Fraction) -> float:
+    """sqrt(x / pi) correctly rounded to a double, for x > 0; an infinity if it leaves double range."""
+    pq = x.numerator * x.denominator
+
+    def ends(bits: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        # With lo <= pi 2^bits <= hi, sqrt(x/pi) lies between the values of
+        # sqrt(x 2^bits / end) = sqrt(pq end 2^(bits+2k)) / (q end 2^k) at
+        # end = hi and end = lo; the integer root is floored at the first and
+        # raised by one at the second, and k gives it about bits + 8 bits.
+        lo, hi = _pi_bracket(bits)
+        k = max(0, (bits + 17 - (pq * hi).bit_length()) // 2)
+        low = (math.isqrt(pq * hi << (bits + 2 * k)), x.denominator * hi << k)
+        high = (math.isqrt(pq * lo << (bits + 2 * k)) + 1, x.denominator * lo << k)
+        return low, high
+
+    return _round_irrational(ends)
 
 
 def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
@@ -442,7 +486,9 @@ def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fra
         if high is None:
             continue
         low = by_l3.get(l1 - off)
-        ratios.append(low.contribution_over_pi / -high.contribution_over_pi if low else Fraction(0))
+        # The contributions' quotient as one Fraction: one gcd, not three.
+        ratios.append(Fraction(low.num * low.weight * high.den, -high.num * high.weight * low.den)
+                      if low else Fraction(0))
     return ratios
 
 
@@ -452,12 +498,14 @@ def check_probe_positivity(res: SuiteResult, l_max: int) -> None:
     One check per pair and one per chain ratio: each ratio exceeds 1 and
     the chain increases.
     """
+    probes = [HarmonicIndex(m, -m) for m in range(l_max + 1)]
     for l1 in range(2, l_max + 1):
         for m1 in range(2, l1 + 1):
+            flow = HarmonicIndex(l1, m1)
             for m in range(2, m1 + 1):
-                report = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
+                report = mc_flat(flow, probes[m])
                 res.checks += 1
-                if _sign(report.flat_over_pi) <= 0:
+                if _flat_sum(report.summands)[0] <= 0:
                     res.fail(f"MC(e_{{{l1} {m1}}}, e_{{{m} {-m}}}) not positive")
                 chain = positivity_chain(l1, m, report.summands)
                 res.checks += len(chain)
@@ -469,20 +517,22 @@ def check_probe_positivity(res: SuiteResult, l_max: int) -> None:
 
 def check_order_one_positivity(res: SuiteResult, l_max: int) -> None:
     """MC(e_{l1 1}, e_{l2 1}) > 0 for 2 <= l2 < l1 <= l_max."""
+    harmonics = {l: HarmonicIndex(l, 1) for l in range(2, l_max + 1)}
     for l1 in range(3, l_max + 1):
         for l2 in range(2, l1):
-            report = mc_flat(HarmonicIndex(l1, 1), HarmonicIndex(l2, 1))
+            report = mc_flat(harmonics[l1], harmonics[l2])
             res.checks += 1
-            if _sign(report.flat_over_pi) <= 0:
+            if _flat_sum(report.summands)[0] <= 0:
                 res.fail(f"MC(e_{{{l1} 1}}, e_{{{l2} 1}}) not positive")
 
 
 def check_zonal_nonpositivity(res: SuiteResult, l_max: int) -> None:
     """MC(e_{l1 0}, e_{l2 m2}) <= 0 for every zonal flow and probe of degree <= l_max."""
+    probes = [HarmonicIndex(l2, m2) for l2 in range(1, l_max + 1) for m2 in range(-l2, l2 + 1)]
     for l1 in range(1, l_max + 1):
-        for l2 in range(1, l_max + 1):
-            for m2 in range(-l2, l2 + 1):
-                report = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2))
-                res.checks += 1
-                if _sign(report.flat_over_pi) > 0:
-                    res.fail(f"zonal MC(e_{{{l1} 0}}, e_{{{l2} {m2}}}) positive")
+        flow = HarmonicIndex(l1, 0)
+        for probe in probes:
+            report = mc_flat(flow, probe)
+            res.checks += 1
+            if _flat_sum(report.summands)[0] > 0:
+                res.fail(f"zonal MC(e_{{{l1} 0}}, e_{{{probe.l} {probe.m}}}) positive")

@@ -18,7 +18,7 @@ from typing import Dict
 
 from .checks import SuiteResult
 from .exact import Frozen, SignedSqrtRational
-from .wigner import _parity, _racah_sum, threej_band, threej_lm
+from .wigner import _parity, _racah_core, threej_band, threej_lm
 
 
 class HarmonicIndex(Frozen):
@@ -68,13 +68,14 @@ def g_real(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> SignedSqrtRa
             or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3):
         return _ZERO
     # The clause above holds every rule threej_lm checks.  The m-symbol is
-    # read once per sweep, so it skips the Racah cache; the (1 -1 0) symbol
-    # is shared by every order pair of the degree triple, so it goes through.
-    a = _racah_sum(l1, l2, l3, m1, m2, m3)
+    # read once per sweep, so it skips the Racah cache and stays unreduced;
+    # the (1 -1 0) symbol is shared by every order pair of the degree triple,
+    # so it goes through the cache.
+    sign, num, den = _racah_core(l1, l2, l3, m1, m2, m3)
     b = threej_lm(l1, l2, l3, 1, -1, 0)
-    # -1/sqrt(4) * L123 * a * b as one radicand.
+    # -1/sqrt(4) * L123 * (m-symbol) * b as one radicand, reduced by its one gcd.
     return SignedSqrtRational._reduce(
-        -a.sign * b.sign, _l123_squared(l1, l2, l3) * a.num * b.num, 4 * a.den * b.den)
+        -sign * b.sign, _l123_squared(l1, l2, l3) * num * b.num, 4 * den * b.den)
 
 
 def bracket_coefficient(m3: int, g: SignedSqrtRational) -> complex:

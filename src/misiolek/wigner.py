@@ -2,11 +2,13 @@
 
 The general path evaluates the Racah alternating sum in integer arithmetic
 over one common denominator and only then splits off the square root, so
-cancellations are exact; it is the single-symbol path.  ``_racah_sum`` is
-that sum uncached, for a symbol that is read once (the m-symbol of
-``structure.g_real``); ``_racah`` is the same function behind an unbounded
-cache, which ``threej_lm`` reads, for symbols that repeat, such as the
-(l1 l2 l3; 1 -1 0) symbol shared by every order pair of a degree triple.
+cancellations are exact; it is the single-symbol path.  ``_racah_core`` is
+that sum uncached and unreduced, a ``(sign, num, den)`` triple, for a symbol
+that is read once and multiplied into a larger radicand before any gcd (the
+m-symbol of ``structure.g_real``); ``_racah_sum`` is its reduced value, and
+``_racah`` is that function behind an unbounded cache, which ``threej_lm``
+reads, for symbols that repeat, such as the (l1 l2 l3; 1 -1 0) symbol shared
+by every order pair of a degree triple.
 A whole band of symbols over the third degree comes from one integer
 three-term recurrence instead.  Two closed forms and one recursion are kept
 as separate operations: they are cross-validation targets, not fast paths.
@@ -37,14 +39,15 @@ def _parity(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
-    """Racah single-sum evaluation; assumes selection rules already hold.
+def _racah_core(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> Tuple[int, int, int]:
+    """Racah single-sum evaluation as ``(sign, num, den)``; assumes selection rules hold.
 
-    The term of index t is (-1)^t / D(t), with D(t) the product of the
-    factorials of t, a+t, b+t, c-t, d-t and e-t.  The sum runs over one common
-    denominator, the product of those six factorials at their extreme t, so
-    every term is an integer and each one follows from the last by a small
-    exact ratio.  The squared symbol is reduced with one final gcd.
+    The symbol is ``sign * sqrt(num/den)`` with ``num/den`` not reduced,
+    ``den > 0``, and ``(0, 0, 1)`` for a vanishing sum.  The term of index t
+    is (-1)^t / D(t), with D(t) the product of the factorials of t, a+t, b+t,
+    c-t, d-t and e-t.  The sum runs over one common denominator, the product
+    of those six factorials at their extreme t, so every term is an integer
+    and each one follows from the last by a small exact ratio.
     """
     a, b = l3 - l2 + m1, l3 - l1 - m2
     c, d, e = l1 + l2 - l3, l1 - m1, l2 + m2
@@ -56,12 +59,12 @@ def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSq
     )
     span = t_max - t_min
     term = perm(t_max, span) * perm(a + t_max, span) * perm(b + t_max, span)
-    total = 0
-    for t in range(t_min, t_max + 1):
-        total += -term if t % 2 else term
-        term = term * ((c - t) * (d - t) * (e - t)) // ((t + 1) * (a + t + 1) * (b + t + 1))
+    total = term = -term if t_min % 2 else term
+    for t in range(t_min, t_max):
+        term = -term * ((c - t) * (d - t) * (e - t)) // ((t + 1) * (a + t + 1) * (b + t + 1))
+        total += term
     if total == 0:
-        return _ZERO
+        return 0, 0, 1
     sign = _parity(l1 - l2 - m3) * (1 if total > 0 else -1)
     num = (
         total * total
@@ -70,7 +73,12 @@ def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSq
         * factorial(l2 + m2) * factorial(l2 - m2)
         * factorial(l3 + m3) * factorial(l3 - m3)
     )
-    return SignedSqrtRational._reduce(sign, num, common * common * factorial(l1 + l2 + l3 + 1))
+    return sign, num, common * common * factorial(l1 + l2 + l3 + 1)
+
+
+def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
+    """The Racah sum's symbol, reduced with one gcd; assumes selection rules hold."""
+    return SignedSqrtRational._reduce(*_racah_core(l1, l2, l3, m1, m2, m3))
 
 
 _racah = lru_cache(maxsize=None)(_racah_sum)

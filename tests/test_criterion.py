@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import misiolek.criterion
 from misiolek.checks import SuiteResult
 from misiolek.criterion import (
+    MCReport,
+    MCSummand,
     MCValue,
     OrderCollisionError,
     RHWave,
@@ -199,6 +201,51 @@ def test_critical_ratio_reference_cells():
     cell = critical_ratio(7, 6, 6)
     assert cell["direction"] == "<"
     assert cell["ratio"] == pytest.approx(-569.9, rel=5e-3)
+
+
+def test_critical_ratio_is_correctly_rounded():
+    # -s F / sqrt(pi rho), with MC = F/pi and slope s sqrt(rho/pi), against
+    # mpmath at 40 digits on every "ok" cell of the odd flows' degree-8
+    # tables.  The ratio formed from four rounded floats was off on 105 of them.
+    cells, off = 0, []
+    for l1 in range(1, 16, 2):
+        for (l2, m2), cell in critical_table(l1, 8).items():
+            if cell["status"] != "ok":
+                continue
+            cells += 1
+            flat = mc_flat(H(l1, 0), H(l2, m2)).flat_over_pi
+            slope = coriolis_slope(H(l1, 0), H(l2, m2)).root_over_sqrt_pi
+            with mpmath.workdps(40):
+                root = slope.sign * mpmath.sqrt(mpmath.pi * slope.num / slope.den)
+                want = float(-mpmath.mpf(flat.numerator) / flat.denominator / root)
+            if cell["ratio"] != want:
+                off.append((l1, l2, m2))
+    assert cells == 203 and off == []
+
+
+def test_critical_ratio_of_a_vanishing_flat_value_is_a_signed_zero():
+    # MC(e_{1 0}, e_{1 1}) = 0: the ratio is -0 / s, a zero of sign -s.
+    cell = critical_ratio(1, 1, 1)
+    assert cell["ratio"] == 0 and math.copysign(1, cell["ratio"]) == -1 and cell["direction"] == ">"
+
+
+def test_critical_ratio_outside_double_range_raises(monkeypatch):
+    def huge(a, b):
+        return MCReport((MCSummand(a.l + b.l - 1, 10 ** 400, 1, -1),))
+
+    monkeypatch.setattr(misiolek.criterion, "mc_flat", huge)
+    with pytest.raises(OverflowError, match="critical ratio"):
+        critical_ratio(3, 2, 1)
+
+
+def test_sqrt_over_pi_is_correctly_rounded():
+    sqrt_over_pi = misiolek.criterion._sqrt_over_pi
+    for x in (Fraction(1), Fraction(2, 3), Fraction(10 ** 40, 7), Fraction(1, 10 ** 300),
+              Fraction(3 ** 200, 2 ** 100), Fraction(10 ** 600, 3), Fraction(1, 10 ** 630)):
+        with mpmath.workdps(60):
+            want = float(mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator / mpmath.pi))
+        assert sqrt_over_pi(x) == want, x
+    assert sqrt_over_pi(Fraction(10 ** 700)) == math.inf
 
 
 def test_critical_ratio_validates_orders():
@@ -465,6 +512,51 @@ def test_theorem_suite_leaves_out_the_conjectured_range(monkeypatch):
     # 165 wave-probe pairs, 36 order-one pairs and 10 * 120 zonal pairs.
     assert len(calls) == 1401
     assert not any(m1 >= 2 and l2 == -m2 > m1 for _, m1, l2, m2 in calls)
+
+
+def test_theorem_signs_are_the_integer_numerators(monkeypatch):
+    # The theorem blocks read each sign from the unreduced summand sum; it is
+    # the sign of the reduced flat_over_pi on every pair of the degree-10 sweep.
+    honest = misiolek.criterion.mc_flat
+    reports = []
+
+    def recording(a, b):
+        reports.append(honest(a, b))
+        return reports[-1]
+
+    monkeypatch.setattr(misiolek.criterion, "mc_flat", recording)
+    assert theorem_suite(10).ok
+    signs = []
+    for report in reports:
+        num, den = misiolek.criterion._flat_sum(report.summands)
+        flat = report.flat_over_pi
+        assert den > 0 and Fraction(num, den) == flat
+        assert flat == sum((s.contribution_over_pi for s in report.summands), Fraction(0))
+        signs.append((num > 0) - (num < 0))
+        assert signs[-1] == (flat > 0) - (flat < 0)
+    assert len(signs) == 1401 and set(signs) == {-1, 0, 1}
+
+
+def test_theorem_blocks_fail_on_a_flipped_sum(monkeypatch):
+    # Negated weights flip every flat sum: each asserted positivity fails, and
+    # so does the zonal nonpositivity wherever the honest sum is negative.
+    honest = misiolek.criterion.mc_flat
+
+    def flipped(a, b):
+        summands = honest(a, b).summands
+        return MCReport(tuple(MCSummand(s.l3, s.num, s.den, -s.weight) for s in summands))
+
+    monkeypatch.setattr(misiolek.criterion, "mc_flat", flipped)
+    probe, order_one, zonal = (SuiteResult("theorem", 5) for _ in range(3))
+    check_probe_positivity(probe, 5)
+    check_order_one_positivity(order_one, 5)
+    check_zonal_nonpositivity(zonal, 5)
+    not_positive = [f for f in probe.failures if f.endswith("not positive")]
+    assert len(not_positive) == sum(m1 - 1 for l1 in range(2, 6) for m1 in range(2, l1 + 1))
+    assert len(order_one.failures) == order_one.checks == 6
+    negative = sum(honest(H(l1, 0), H(l2, m2)).flat_over_pi < 0
+                   for l1 in range(1, 6) for l2 in range(1, 6) for m2 in range(-l2, l2 + 1))
+    assert len(zonal.failures) == negative > 0
 
 
 def test_scan_exclusions_hold():

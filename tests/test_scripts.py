@@ -1,6 +1,8 @@
 """Runnable scripts, run as a user would: a fresh process in a scratch directory."""
 
 import ast
+import importlib.util
+import io
 import os
 import pathlib
 import subprocess
@@ -48,6 +50,54 @@ def test_cli_stdout_digest_runs_every_suite():
     suites = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                   and [target.id for target in node.targets] == ["SUITES"])
     assert ast.literal_eval(suites) == SUITE_NAMES
+
+
+def load_digest(monkeypatch):
+    # The script puts bench/ on sys.path for its corpus; keep that to the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("cli_stdout_digest", ROOT / "scripts" / "cli_stdout_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stub_runner(outputs):
+    return lambda argv: outputs[" ".join(argv)]
+
+
+def test_cli_stdout_digest_compare_prints_only_differences(monkeypatch):
+    digest = load_digest(monkeypatch)
+    invocations = [["mc", "1"], ["critical-table", "a"], ["mc", "2"],
+                   ["verify", "--suite", "table"], ["rhw", "x"]]
+    ours = {"mc 1": (b"a", 0), "critical-table a": (b"c", 0), "mc 2": (b"b", 0),
+            "verify --suite table": (b"d", 0), "rhw x": (b"e", 0)}
+    theirs = dict(ours, **{"critical-table a": (b"C", 0), "verify --suite table": (b"D", 1),
+                           "rhw x": (b"e", 2)})
+    out = io.StringIO()
+    assert digest.compare(invocations, stub_runner(ours), stub_runner(theirs), out) == 3
+    assert out.getvalue().splitlines() == [
+        "stdout  critical-table a",
+        "stdout, exit 0/1  verify --suite table",
+        "exit 0/2  rhw x",
+        "mc: 0 of 2 invocations differ",
+        "critical-table: 1 of 1 invocations differ",
+        "verify: 1 of 1 invocations differ",
+        "rhw: 1 of 1 invocations differ",
+        "total: 3 of 5 invocations differ",
+    ]
+    out = io.StringIO()
+    assert digest.compare(invocations, stub_runner(ours), stub_runner(ours), out) == 0
+    assert out.getvalue().splitlines()[-1] == "total: 0 of 5 invocations differ"
+
+
+def test_cli_stdout_digest_lines_hash_stdout_and_exit_code(monkeypatch):
+    digest = load_digest(monkeypatch)
+    out = io.StringIO()
+    digest.digest([["mc", "1"], ["rhw", "x"]], stub_runner({"mc 1": (b"a", 0), "rhw x": (b"", 2)}), out)
+    first, second, total = out.getvalue().splitlines()
+    assert first == "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb  0  mc 1"
+    assert second == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855  2  rhw x"
+    assert total.endswith("  total over 2 invocations")
 
 
 def test_sweep_positivity_holds_and_caches_one_symbol_per_degree_triple(tmp_path):

@@ -86,13 +86,35 @@ def test_g_real_order_sum_selection():
     assert not g_real(2, 1, 3, 1, 4, -2).is_zero()
 
 
+def test_g_real_is_the_reduced_product_of_its_symbols():
+    # g_real reduces its unreduced m-symbol times the rest once; that is the
+    # product -1/2 L123 (m-symbol)(1 -1 0) of the two reduced 3j symbols, for
+    # an odd degree sum, and zero for an even one.  Zeros are compared too.
+    zeros = 0
+    for l1 in range(9):
+        for l2 in range(9):
+            for l3 in range(9):
+                half_l123 = SSR.sqrt(Fraction(_l123_squared(l1, l2, l3), 4))
+                flat = threej_lm(l1, l2, l3, 1, -1, 0)
+                for m1 in range(-l1, l1 + 1):
+                    for m2 in range(-l2, l2 + 1):
+                        m3 = -(m1 + m2)
+                        g = g_real(l1, m1, l2, m2, l3, m3)
+                        want = SSR.zero()
+                        if (l1 + l2 + l3) % 2:
+                            want = -(half_l123 * threej_lm(l1, l2, l3, m1, m2, m3) * flat)
+                        assert (g.sign, g.num, g.den) == (want.sign, want.num, want.den), (l1, m1, l2, m2, l3)
+                        zeros += g.is_zero()
+    assert 0 < zeros < 59049  # sum over l1, l2 <= 8 of (2 l1 + 1)(2 l2 + 1), times 9 l3
+
+
 def test_g_real_zonal_pairs_commute_without_racah(monkeypatch):
     # {Y_{l1 0}, Y_{l2 0}} = 0: the selection rules return zero before any 3j symbol
     def no_threej(*args):
         raise AssertionError(f"3j symbol {args} computed for a zonal pair")
 
     monkeypatch.setattr(misiolek.structure, "threej_lm", no_threej)
-    monkeypatch.setattr(misiolek.structure, "_racah_sum", no_threej)
+    monkeypatch.setattr(misiolek.structure, "_racah_core", no_threej)
     for l1 in range(13):
         for l2 in range(13):
             for l3 in range(13):
