@@ -19,7 +19,6 @@ from .criterion import (
     MCReport,
     MCValue,
     RHWave,
-    conjugate_time,
     critical_ratio,
     critical_table,
     mc_combination,
@@ -40,7 +39,6 @@ __all__ = [
     "SignedSqrtRational",
     "bracket_coefficient",
     "bracket_expand",
-    "conjugate_time",
     "critical_ratio",
     "critical_table",
     "factorial",

@@ -452,20 +452,6 @@ def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
     return threshold
 
 
-def conjugate_time(kappa: float, v_norm: float) -> float:
-    """Latest time pi/sqrt(kappa*|v|) by which a conjugate point occurs.
-
-    Raises ValueError unless kappa and |v| are positive and their float
-    product is finite and nonzero, so nan and infinite inputs fail too.
-    """
-    if kappa <= 0 or v_norm <= 0:
-        raise ValueError("kappa and |v| must be positive")
-    product = kappa * v_norm
-    if not 0 < product < math.inf:
-        raise ValueError(f"kappa*|v| = {product!r} is not a positive finite float")
-    return math.pi / math.sqrt(product)
-
-
 def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fraction]:
     """Paired-summand ratios whose chain 1 < r_0 < r_1 < ... proves positivity.
 

@@ -102,32 +102,40 @@ def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class GridFunction:
-    """Complex samples on a grid with analytic derivative fields alongside.
+    """Complex samples on a grid, with what a Poisson bracket needs alongside.
 
-    Grid harmonics also carry ``dual``, the conjugated samples times the
-    quadrature weights, so that pairing against them is one dot product.
+    A function that enters a bracket carries its lambda-order ``m``, so that
+    its lambda-derivative is ``1j * m * values``, and its mu-derivative
+    samples ``d_mu``.  Grid harmonics also carry ``dual``, the conjugated
+    samples times the quadrature weights, so that pairing against them is
+    one dot product.
     """
 
-    __slots__ = ("values", "d_lam", "d_mu", "dual")
+    __slots__ = ("values", "m", "d_mu", "dual")
 
-    def __init__(self, values: np.ndarray, d_lam: Optional[np.ndarray] = None,
+    def __init__(self, values: np.ndarray, m: Optional[int] = None,
                  d_mu: Optional[np.ndarray] = None, dual: Optional[np.ndarray] = None) -> None:
         self.values = values
-        self.d_lam = d_lam
+        self.m = m
         self.d_mu = d_mu
         self.dual = dual
 
     def has_derivatives(self) -> bool:
-        return self.d_lam is not None and self.d_mu is not None
+        return self.m is not None and self.d_mu is not None
 
 
 class QuadratureGrid:
     """Gauss-Legendre nodes in mu times a uniform periodic rule in lambda.
 
     The mu rule is ``gauss_legendre(n_mu)``.  With n_mu >= l_max+1 it is
-    exact for polynomial integrands up to degree 2 l_max + 1, and the lambda
-    rule for trigonometric orders up to n_lam - 1; the sizing below leaves
-    margin for triple products.
+    exact for polynomial integrands up to degree 2 l_max + 1; the mu
+    integrands are not polynomials, so ``for_degree`` takes n_mu = 2 l_max + 2
+    for accuracy.  The uniform n_lam-point rule sums e^{ik lambda} to zero
+    for every 0 < |k| < n_lam, so it is exact for trigonometric polynomials
+    of order below n_lam.  Every lambda integrand here is one: a pairing of
+    two harmonics has order <= 2 l_max, and a bracket of two harmonics
+    paired with a third order <= 3 l_max, so ``for_degree`` takes
+    n_lam = 3 l_max + 1, the fewest points exact for both.
     """
 
     def __init__(self, l_max: int, mu: np.ndarray, mu_weights: np.ndarray, lam: np.ndarray,
@@ -147,7 +155,7 @@ class QuadratureGrid:
         if l_max < 0:
             raise ValueError("l_max must be nonnegative")
         n_mu = 2 * l_max + 2
-        n_lam = 4 * l_max + 4
+        n_lam = 3 * l_max + 1
         mu, w = gauss_legendre(n_mu)
         lam = 2.0 * math.pi * np.arange(n_lam) / n_lam
         return cls(l_max, mu, w, lam, 2.0 * math.pi / n_lam)
@@ -172,7 +180,7 @@ class QuadratureGrid:
         return np.conj(values) * (self.mu_weights * self.lam_weight)[:, None]
 
     def harmonic(self, idx: HarmonicIndex) -> GridFunction:
-        """Y_{lm} sampled with its analytic lambda- and mu-derivatives and its dual."""
+        """Y_{lm} sampled with its order, its analytic mu-derivative and its dual."""
         if idx.l > self.l_max:
             raise ValueError(f"degree {idx.l} exceeds grid resolution l_max={self.l_max}")
         key = (idx.l, idx.m)
@@ -182,7 +190,7 @@ class QuadratureGrid:
         values, dp, phase = self._samples(idx)
         fn = GridFunction(
             values=values,
-            d_lam=1j * idx.m * values,
+            m=idx.m,
             d_mu=dp[:, None] * phase[None, :],
             dual=self._dual_of(values),
         )
@@ -219,10 +227,13 @@ def _dual(g: GridFunction) -> np.ndarray:
 
 
 def poisson_bracket(f: GridFunction, g: GridFunction) -> GridFunction:
-    """{f, g} = f_lam g_mu - f_mu g_lam, pointwise from analytic derivatives."""
+    """{f, g} = f_lam g_mu - f_mu g_lam, pointwise from analytic derivatives.
+
+    The lambda-derivatives are formed here, as ``1j * m * values``.
+    """
     if not (f.has_derivatives() and g.has_derivatives()):
         raise ValueError("both inputs must carry derivative fields")
-    return GridFunction(values=f.d_lam * g.d_mu - f.d_mu * g.d_lam)
+    return GridFunction(values=(1j * f.m * f.values) * g.d_mu - f.d_mu * (1j * g.m * g.values))
 
 
 def oracle_structure_coeff(a: HarmonicIndex, b: HarmonicIndex, grid: QuadratureGrid) -> Dict[int, complex]:

@@ -102,7 +102,12 @@ def check_order_one_forms(res: SuiteResult, l_max: int) -> None:
 
 
 def check_threej_symmetries(res: SuiteResult, l_max: int) -> None:
-    """Column swap and order negation, two checks per 3j tuple."""
+    """Column swap and order negation, two checks per 3j tuple.
+
+    Both symmetries multiply the symbol by (-1)^(l1+l2+l3), so each is
+    compared with the base symbol on its canonical integers, its sign flipped
+    by that parity, without building the scaled value.
+    """
     for l1 in range(l_max + 1):
         for l2 in range(l_max + 1):
             for l3 in range(abs(l1 - l2), min(l1 + l2, l_max) + 1):
@@ -113,12 +118,13 @@ def check_threej_symmetries(res: SuiteResult, l_max: int) -> None:
                         if abs(m3) > l3:
                             continue
                         base = threej_lm(l1, l2, l3, m1, m2, m3)
+                        want = (sign * base.sign, base.num, base.den)
                         res.checks += 2
                         swapped = threej_lm(l2, l1, l3, m2, m1, m3)
-                        if swapped != base.scale(sign):
+                        if (swapped.sign, swapped.num, swapped.den) != want:
                             res.fail(f"column swap off at ({l1},{l2},{l3},{m1},{m2})")
                         negated = threej_lm(l1, l2, l3, -m1, -m2, -m3)
-                        if negated != base.scale(sign):
+                        if (negated.sign, negated.num, negated.den) != want:
                             res.fail(f"order negation off at ({l1},{l2},{l3},{m1},{m2})")
 
 

@@ -30,10 +30,10 @@ def grid():
 
 
 def mu_field(grid):
-    """The coordinate function mu on the grid, with its trivial derivatives."""
+    """The coordinate function mu on the grid: lambda-order 0, mu-derivative 1."""
     shape = (len(grid.mu), len(grid.lam))
     return GridFunction(values=np.broadcast_to(grid.mu[:, None], shape) + 0j,
-                        d_lam=np.zeros(shape, dtype=complex), d_mu=np.ones(shape, dtype=complex))
+                        m=0, d_mu=np.ones(shape, dtype=complex))
 
 
 def integrate_reference(grid, values):
@@ -185,6 +185,32 @@ def test_oracle_suite_leaves_numpy_polynomial_unloaded():
     assert done.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("l_max", range(9))
+def test_lambda_rule_is_exact_up_to_order_3l(l_max):
+    # The uniform rule sums e^{ik lambda} to 2 pi [k = 0] for |k| <= 3L, the
+    # highest order of a bracket paired with a harmonic, and aliases order 3L+1.
+    grid = QuadratureGrid.for_degree(l_max)
+    assert len(grid.lam) == 3 * l_max + 1
+    for k in range(-3 * l_max, 3 * l_max + 1):
+        got = complex(np.exp(1j * k * grid.lam).sum() * grid.lam_weight)
+        assert abs(got - (2 * math.pi if k == 0 else 0.0)) <= 1e-13, (l_max, k)
+    aliased = complex(np.exp(1j * (3 * l_max + 1) * grid.lam).sum() * grid.lam_weight)
+    assert abs(aliased - 2 * math.pi) <= 1e-13
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 6])
+def test_cached_harmonic_holds_three_arrays(l_max):
+    grid = QuadratureGrid.for_degree(l_max)
+    for l in range(l_max + 1):
+        for m in range(-l, l + 1):
+            y = grid.harmonic(HarmonicIndex(l, m))
+            arrays = {name: getattr(y, name) for name in GridFunction.__slots__
+                      if isinstance(getattr(y, name), np.ndarray)}
+            assert list(arrays) == ["values", "d_mu", "dual"] and y.m == m, (l, m)
+            for array in arrays.values():
+                assert array.shape == (2 * l_max + 2, 3 * l_max + 1), (l, m)
+
+
 def test_ylm_constant_mode(grid):
     assert np.allclose(grid.harmonic(HarmonicIndex(0, 0)).values, math.sqrt(1 / (4 * math.pi)),
                        rtol=1e-15, atol=0)
@@ -269,6 +295,16 @@ def test_bracket_requires_derivatives(grid):
     bare = GridFunction(values=grid.harmonic(HarmonicIndex(1, 0)).values)
     with pytest.raises(ValueError):
         poisson_bracket(bare, grid.harmonic(HarmonicIndex(1, 1)))
+
+
+def test_bracket_forms_lambda_derivatives_bit_for_bit(grid):
+    # The bracket forms each f_lam as 1j m f; the products and their order are pinned.
+    pairs = _suite_pairs(6)
+    assert len(pairs) == 2052
+    for a, b in pairs:
+        ya, yb = grid.harmonic(a), grid.harmonic(b)
+        want = (1j * a.m * ya.values) * yb.d_mu - ya.d_mu * (1j * b.m * yb.values)
+        assert poisson_bracket(ya, yb).values.tobytes() == want.tobytes(), (a, b)
 
 
 def test_bracket_antisymmetry_pointwise(grid):
@@ -388,9 +424,9 @@ def test_oracle_matches_exact_pipeline_small(grid):
 
 
 def test_oracle_matches_exact_pipeline_above_degree_85():
-    # Sampled, not swept: each cached harmonic at L = 100 holds four complex
-    # arrays of 202 x 404 nodes, 5.2 MB, and oracle_structure_coeff would cache
-    # the dual of every degree of the order m3, 1.3 MB each.  The sampled
+    # Sampled, not swept: each cached harmonic at L = 100 holds three complex
+    # arrays of 202 x 301 nodes, 2.9 MB, and oracle_structure_coeff would cache
+    # the dual of every degree of the order m3, 0.97 MB each.  The sampled
     # projections are its values bit for bit
     # (test_structure_coeff_is_the_direct_projection_bit_for_bit).
     tolerance = 1e-9  # times max(1, |exact|), fixed before the run

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import misiolek.suites
 from misiolek.exact import SignedSqrtRational, factorial
 from misiolek.suites import (
     SuiteResult,
@@ -218,3 +219,26 @@ def test_wigner_suite_counts_each_block_once_per_check_run():
     # ClosedFormDomainError at l3 = 1 (l1 = l2), so those 12 are not run.
     assert _block_checks(check_order_one_forms, 12) == 489 + 477
     assert _block_checks(check_orthogonality, 12) == 3861
+
+
+def test_threej_symmetry_block_reports_a_flipped_symbol(monkeypatch):
+    # One symbol with its sign flipped breaks both symmetries at its tuple.
+    honest = threej_lm
+    flipped = (2, 1, 2, 1, 0, -1)
+    assert not honest(*flipped).is_zero()
+    checks = _block_checks(check_threej_symmetries, 2)
+
+    def one_sign_off(*args):
+        value = honest(*args)
+        return -value if args == flipped else value
+
+    monkeypatch.setattr(misiolek.suites, "threej_lm", one_sign_off)
+    result = SuiteResult("wigner", 2)
+    check_threej_symmetries(result, 2)
+    assert result.checks == checks
+    # The flipped symbol is also the swapped partner of (1,2,2,0,1) and the
+    # negated partner of (2,1,2,-1,0).
+    assert result.failures == [
+        "column swap off at (1,2,2,0,1)", "order negation off at (2,1,2,-1,0)",
+        "column swap off at (2,1,2,1,0)", "order negation off at (2,1,2,1,0)",
+    ]
