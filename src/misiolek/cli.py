@@ -29,7 +29,6 @@ from .criterion import (
     rhw_mc,
     rhw_threshold,
 )
-from .exact import SignedSqrtRational
 from .structure import HarmonicIndex, bracket_coefficient, bracket_expand
 from .suites import SUITE_NAMES, run_suite, suite_cap
 from .wigner import selection_rules_hold, threej_lm
@@ -39,21 +38,13 @@ def _fraction_str(value: Fraction) -> str:
     return f"{abs(value.numerator)}/{value.denominator}"
 
 
-def _ssr_json(value: SignedSqrtRational, pi_exp: float = 0) -> dict:
-    return {"sign": value.sign, "radicand": _fraction_str(value.radicand), "pi_exp": pi_exp}
+def _term_json(sign: int, num: int, den: int, root: bool, pi_exp: float) -> dict:
+    """One exact term, ``exact.Term``: the float beside it is these terms correctly rounded."""
+    return {"sign": sign, "radicand" if root else "rational": f"{num}/{den}", "pi_exp": pi_exp}
 
 
 def _mc_value_json(value: MCValue) -> List[dict]:
-    terms = []
-    if value.rational:
-        terms.append({"sign": 1 if value.rational > 0 else -1,
-                      "rational": _fraction_str(value.rational), "pi_exp": 0})
-    if value.over_pi:
-        terms.append({"sign": 1 if value.over_pi > 0 else -1,
-                      "rational": _fraction_str(value.over_pi), "pi_exp": -1})
-    if not value.root_over_sqrt_pi.is_zero():
-        terms.append(_ssr_json(value.root_over_sqrt_pi, pi_exp=-0.5))
-    return terms
+    return [_term_json(*term) for term in value.terms()]
 
 
 def _mc_record(request: dict, report: MCReport, verbose: bool) -> dict:
@@ -109,7 +100,7 @@ def cmd_wigner3j(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     record = {
         "request": {"l": args.l, "m": args.m},
         "status": "ok" if selection_rules_hold(*args.l, *args.m) else "zero-by-selection-rule",
-        "exact": _ssr_json(value),
+        "exact": _term_json(value.sign, value.num, value.den, True, 0),
         "float": value.to_float(),
     }
     _emit(record, sys.stdout)
@@ -129,7 +120,7 @@ def cmd_bracket(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             "l3": l3,
             "m3": m3,
             "phase": "+i" if m3 % 2 else "-i",  # the unit -i*(-1)^m3
-            "g": _ssr_json(g, pi_exp=-0.5),
+            "g": _term_json(g.sign, g.num, g.den, True, -0.5),
             "coefficient": [coeff.real, coeff.imag],
         }, sys.stdout)
     if not expansion:

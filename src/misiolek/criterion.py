@@ -3,21 +3,19 @@
 Every criterion value is carried exactly: flat criteria are rationals over
 pi, the Coriolis correction for zonal flows adds a rotation rate times a
 structure constant (a radical over sqrt(pi)), and wave criteria stay fully
-rational once amplitudes are taken exactly.  Floats appear only in the
-critical ratio and the wave threshold, where pi survives: each is its exact
-value (the square root of a rational over pi, or pi times a rational)
-correctly rounded to a double.
+rational once amplitudes are taken exactly.  Every float here (a
+criterion value's, a critical ratio, a wave threshold) is its exact value
+correctly rounded by ``exact.to_double``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .checks import SuiteResult
-from .exact import Frozen, SignedSqrtRational
+from .exact import Frozen, SignedSqrtRational, Term, to_double
 from .structure import HarmonicIndex, g_real
 from .wigner import _parity
 
@@ -30,6 +28,11 @@ class OrderCollisionError(ValueError):
 
 class CriterionDefect(AssertionError):
     """An exact identity of the criterion failed; this is a library defect."""
+
+
+def _rational_terms(x: Fraction, pi_exp: int) -> List[Term]:
+    """x * pi**pi_exp as its nonzero terms: one, or none for a zero x."""
+    return [(1 if x > 0 else -1, abs(x.numerator), x.denominator, False, pi_exp)] if x else []
 
 
 def _turn(l: int) -> int:
@@ -66,16 +69,14 @@ class MCValue(Frozen):
     def is_zero(self) -> bool:
         return self.rational == 0 and self.over_pi == 0 and self.root_over_sqrt_pi.is_zero()
 
+    def terms(self) -> List[Term]:
+        """The nonzero terms of the value: rational, over pi, root over sqrt(pi)."""
+        return (_rational_terms(self.rational, 0) + _rational_terms(self.over_pi, -1)
+                + self.root_over_sqrt_pi.terms(-0.5))
+
     def to_float(self) -> float:
-        """Sum of the components' floats; OverflowError if it leaves double range."""
-        total = float(self.rational)
-        if self.over_pi:
-            total += float(self.over_pi) / math.pi
-        if not self.root_over_sqrt_pi.is_zero():
-            total += self.root_over_sqrt_pi.to_float() / math.sqrt(math.pi)
-        if not math.isfinite(total):
-            raise OverflowError("the sum of the float components exceeds double range")
-        return total
+        """The value correctly rounded; OverflowError if it leaves double range."""
+        return to_double(self.terms())
 
 
 class MCSummand(Frozen):
@@ -270,9 +271,12 @@ def critical_ratio(l1: int, l2: int, m2: int) -> dict:
     flat = mc_flat(HarmonicIndex(l1, 0), HarmonicIndex(l2, m2)).flat_over_pi
     sign = -denom.sign * ((flat > 0) - (flat < 0))
     if sign:
-        ratio = sign * _sqrt_over_pi(flat * flat / denom.radicand)
-        if not math.isfinite(ratio):
-            raise OverflowError(f"critical ratio for ({l1}, {l2}, {m2}) exceeds double range")
+        # sign * sqrt(X / pi) with X = F^2 / rho, left unreduced.
+        x_num, x_den = flat.numerator ** 2 * denom.den, flat.denominator ** 2 * denom.num
+        try:
+            ratio = to_double([(sign, x_num, x_den, True, -0.5)])
+        except OverflowError:
+            raise OverflowError(f"critical ratio for ({l1}, {l2}, {m2}) exceeds double range") from None
     else:
         ratio = math.copysign(0.0, -denom.sign)
     cell.update(status="ok", ratio=ratio, direction=">" if denom.sign > 0 else "<")
@@ -351,83 +355,6 @@ def rhw_mc(wave: RHWave, probe: HarmonicIndex) -> MCReport:
     return MCReport(summands, constant, slope, wave.a)
 
 
-@lru_cache(maxsize=None)
-def _pi_bracket(bits: int) -> Tuple[int, int]:
-    """Integers (lo, hi), hi - lo <= 2, with lo <= pi * 2**bits <= hi.
-
-    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point with guard
-    bits.  Every series term is floored, so each arctangent is off by less
-    than one unit per term plus one for the dropped tail, and the bracket
-    widens the sum by that bound.
-    """
-    scale = bits + bits.bit_length() + 8
-    one = 1 << scale
-
-    def atan_inverse(x: int) -> Tuple[int, int]:
-        """(floor-summed atan(1/x) * 2**scale, its error bound in units)."""
-        total, power, k = 0, one // x, 0
-        while power:
-            term = power // (2 * k + 1)
-            total += -term if k % 2 else term
-            power //= x * x
-            k += 1
-        return total, k + 1
-
-    a5, e5 = atan_inverse(5)
-    a239, e239 = atan_inverse(239)
-    approx, error = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
-    guard = scale - bits
-    return (approx - error) >> guard, -((-(approx + error)) >> guard)
-
-
-def _round_irrational(ends: Callable[[int], Tuple[Tuple[int, int], Tuple[int, int]]]) -> float:
-    """The double nearest an irrational value; an infinity if it leaves double range.
-
-    ``ends(bits)`` gives two fractions ``(num, den)``, ``den > 0``, with the
-    value between them, closing in on it as ``bits`` grows.  An irrational
-    value is never a midpoint between two doubles, and rounding is monotone,
-    so doubling the bits ends once both ends round alike, to the value's
-    double.
-    """
-    bits = 64
-    while True:
-        rounded = []
-        for num, den in ends(bits):
-            try:
-                rounded.append(num / den)  # int / int rounds once
-            except OverflowError:
-                rounded.append(math.inf if num > 0 else -math.inf)
-        if rounded[0] == rounded[1]:
-            return rounded[0]
-        bits *= 2
-
-
-def _pi_times(x: Fraction) -> float:
-    """pi * x correctly rounded to a double; an infinity if it leaves double range."""
-    if not x:
-        return 0.0
-    p, q = x.numerator, x.denominator
-    return _round_irrational(lambda bits: tuple((p * end, q << bits) for end in _pi_bracket(bits)))
-
-
-def _sqrt_over_pi(x: Fraction) -> float:
-    """sqrt(x / pi) correctly rounded to a double, for x > 0; an infinity if it leaves double range."""
-    pq = x.numerator * x.denominator
-
-    def ends(bits: int) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        # With lo <= pi 2^bits <= hi, sqrt(x/pi) lies between the values of
-        # sqrt(x 2^bits / end) = sqrt(pq end 2^(bits+2k)) / (q end 2^k) at
-        # end = hi and end = lo; the integer root is floored at the first and
-        # raised by one at the second, and k gives it about bits + 8 bits.
-        lo, hi = _pi_bracket(bits)
-        k = max(0, (bits + 17 - (pq * hi).bit_length()) // 2)
-        low = (math.isqrt(pq * hi << (bits + 2 * k)), x.denominator * hi << k)
-        high = (math.isqrt(pq * lo << (bits + 2 * k)) + 1, x.denominator * lo << k)
-        return low, high
-
-    return _round_irrational(ends)
-
-
 def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
     """Minimal |A|^2/C^2 making the wave criterion positive at rate a = -K*C.
 
@@ -446,10 +373,10 @@ def rhw_threshold(l1: int, m1: int, m: int, K: Numeric = 0.0) -> float:
     flat_over_pi = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m)).flat_over_pi
     if flat_over_pi <= 0:
         raise CriterionDefect(f"criterion not positive for ({l1},{m1}) vs ({m},{-m})")
-    threshold = _pi_times(m * m * (_turn(m) - 2 - Fraction(K)) / flat_over_pi)
-    if not math.isfinite(threshold):
-        raise OverflowError(f"threshold for K={K!r} exceeds double range")
-    return threshold
+    try:
+        return to_double(_rational_terms(m * m * (_turn(m) - 2 - Fraction(K)) / flat_over_pi, 1))
+    except OverflowError:
+        raise OverflowError(f"threshold for K={K!r} exceeds double range") from None
 
 
 def positivity_chain(l1: int, m: int, summands: Sequence[MCSummand]) -> List[Fraction]:

@@ -1,11 +1,13 @@
-"""Exact arithmetic substrate: big rationals, factorials and signed square roots.
+"""Exact arithmetic substrate: big rationals, factorials, signed square roots, rounding.
 
 Every coupling coefficient handled downstream is of the form ``s*sqrt(p/q)``
 with ``s`` a sign and ``p/q`` a nonnegative rational.  One value type holds
 ``s``, ``p`` and ``q`` as plain integers in lowest terms, so a product is
 two integer multiplications and one gcd, with no Fraction on the hot path.
 
-``Frozen`` is the base of every immutable value type of the package.
+``Frozen`` is the base of every immutable value type of the package, and
+``to_double`` is its one way from an exact value to a float: a sum of
+rational or root terms times powers of pi, correctly rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import gcd
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 #: Rational scalars accepted by the constructors below.
 RationalLike = Union[int, Fraction]
@@ -29,30 +31,108 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def _sqrt_ratio_to_float(p: int, q: int) -> float:
-    """Nearest double to sqrt(p/q), for p/q in lowest terms with p >= 0 and q > 0.
+#: An exact term ``(sign, num, den, root, pi_exp)``, the value
+#: ``sign * (num/den)**(1/2 if root else 1) * pi**pi_exp`` with integers
+#: ``num, den > 0`` and ``pi_exp`` in {-1, -1/2, 0, 1}: the CLI prints a
+#: value's terms as its "exact" field.
+Term = Tuple[int, int, int, bool, Union[int, float]]
 
-    The square root is taken on a >=120-bit integer approximation before the
-    final rounding, so factorial ratios far beyond double range still convert
-    correctly as long as the *result* is representable.
 
-    Raises OverflowError if the result exceeds double range.
+@lru_cache(maxsize=None)
+def _pi_bracket(bits: int, pi_exp: Union[int, float] = 1) -> Tuple[int, int]:
+    """Integers (lo, hi), hi - lo <= 3, with lo <= pi**pi_exp * 2**bits <= hi.
+
+    ``pi_exp`` is one of -1, -1/2, 0 and 1.  pi is Machin's
+    pi = 16 atan(1/5) - 4 atan(1/239) in fixed point with guard bits.  Every
+    series term is floored, so each arctangent is off by less than one unit
+    per term plus one for the dropped tail, and the bracket widens the sum
+    by that bound.  1/pi is 2**(2 bits) over the bracket of pi, and pi**-1/2
+    the root of 1/pi 2**(2 bits).
     """
-    if p == 0:
-        return 0.0
-    # sqrt(p/q) = sqrt(p*q)/q.  Shift so isqrt carries ~120 significant bits,
-    # keeping the shift even so that its half divides out of the root exactly.
-    n = p * q
-    shift = max(0, 240 - n.bit_length())
-    shift += shift % 2
-    root = math.isqrt(n << shift)
-    half = shift // 2
-    # root / (q * 2**half), both exact integers; int / int is correctly
-    # rounded even for huge operands, so no gcd is needed.
+    if not pi_exp:
+        return 1 << bits, 1 << bits
+    if pi_exp != 1:
+        lo, hi = _pi_bracket(bits)
+        lo, hi = (1 << 2 * bits) // hi, -(-(1 << 2 * bits) // lo)
+        return (lo, hi) if pi_exp == -1 else (math.isqrt(lo << bits), math.isqrt((hi << bits) - 1) + 1)
+    scale = bits + bits.bit_length() + 8
+    one = 1 << scale
+
+    def atan_inverse(x: int) -> Tuple[int, int]:
+        """(floor-summed atan(1/x) * 2**scale, its error bound in units)."""
+        total, power, k = 0, one // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k % 2 else term
+            power //= x * x
+            k += 1
+        return total, k + 1
+
+    a5, e5 = atan_inverse(5)
+    a239, e239 = atan_inverse(239)
+    approx, error = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    guard = scale - bits
+    return (approx - error) >> guard, -((-(approx + error)) >> guard)
+
+
+def _nearest(num: int, den: int) -> float:
+    """num / den rounded once (den > 0); an infinity if it leaves double range."""
     try:
-        return root / (q << half)
+        return num / den
     except OverflowError:
-        raise OverflowError(f"sqrt({Fraction(p, q)}) exceeds double range") from None
+        return math.inf if num > 0 else -math.inf
+
+
+def to_double(terms: Sequence[Term]) -> float:
+    """The double nearest the sum of ``terms``; OverflowError if it leaves double range.
+
+    No two terms may share a power of pi; no terms at all is zero (0.0).  A
+    lone rational term is divided once.  Otherwise each term's rational
+    part (num/den, or its root) times 2**frac lies between an integer q and
+    q + 1, and is q when the division and the root are exact; its power of
+    pi times 2**bits lies between the ends of ``_pi_bracket``, so the
+    term times 2**(frac + bits) lies between their products.  ``frac``
+    gives the largest rational part at least ``bits`` bits.  Rounding is
+    monotone, so once both ends of the summed bounds round alike, that
+    double is the value's.  The bounds of a rational value close on it, and
+    are exact once it is a multiple of 2**-frac, as a midpoint of two
+    doubles is; any other nonzero value is irrational (pi is
+    transcendental), so doubling ``bits`` ends the loop.
+    """
+    if not terms:
+        return 0.0
+    if len(terms) == 1 and not terms[0][3] and not terms[0][4]:
+        return terms[0][0] * terms[0][1] / terms[0][2]
+    # A rational part of about 2**-k takes k extra bits; the largest decides.
+    extra = None
+    for _, num, den, root, _ in terms:
+        k = max((den.bit_length() - num.bit_length()) // (2 if root else 1), 0)
+        extra = k if extra is None else min(extra, k)
+    bits = 64
+    while True:
+        frac = bits + extra
+        low = high = 0
+        for sign, num, den, root, pi_exp in terms:
+            if root:
+                square, inexact = divmod(num << 2 * frac, den)
+                q = math.isqrt(square)
+                inexact = inexact or q * q != square
+            else:
+                q, inexact = divmod(num << frac, den)
+            pi_low, pi_high = _pi_bracket(bits, pi_exp)
+            below, above = q * pi_low, (q + 1 if inexact else q) * pi_high
+            if sign > 0:
+                low, high = low + below, high + above
+            else:
+                low, high = low - above, high - below
+        unit = 1 << (frac + bits)
+        first, last = _nearest(low, unit), _nearest(high, unit)
+        # A zero end has the sign of its bound: the ends agree in sign too.
+        if first == last and (first or (low < 0) == (high < 0)):
+            if math.isinf(first):
+                raise OverflowError("the value exceeds double range")
+            return first
+        bits *= 2
 
 
 class Frozen:
@@ -196,8 +276,12 @@ class SignedSqrtRational(Frozen):
     def is_zero(self) -> bool:
         return self.sign == 0
 
+    def terms(self, pi_exp: Union[int, float] = 0) -> List[Term]:
+        """The value times pi**pi_exp as its nonzero terms: one, or none for zero."""
+        return [(self.sign, self.num, self.den, True, pi_exp)] if self.sign else []
+
     def to_float(self) -> float:
-        return self.sign * _sqrt_ratio_to_float(self.num, self.den)
+        return to_double(self.terms())
 
 
 # Slot writers that bypass the refusing __setattr__; only the constructors use them.

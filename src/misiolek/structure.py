@@ -6,18 +6,17 @@ phase is the discrete unit -i*(-1)^(m1+m2), which the orders fix, so an
 expansion holds only the constants.  A constant is held as the SignedSqrtRational ``r`` of its
 value ``r / sqrt(pi)``: the 1/sqrt(pi) factor is implicit, so ``r.radicand``
 is the exact coefficient of 1/pi in g**2, and it enters a float only in
-``bracket_coefficient``.
+``bracket_coefficient``, as the root's term over sqrt(pi) correctly rounded.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import islice, permutations
 from operator import itemgetter
 from typing import Dict
 
 from .checks import SuiteResult
-from .exact import Frozen, SignedSqrtRational
+from .exact import Frozen, SignedSqrtRational, to_double
 from .wigner import _parity, _racah_core, threej_band, threej_lm
 
 
@@ -36,8 +35,6 @@ class HarmonicIndex(Frozen):
         set_m(self, m)
 
 
-#: The implicit factor of every structure constant, as a float.
-_PI_POWER = math.pi ** -0.5
 _ZERO = SignedSqrtRational.zero()
 
 
@@ -82,10 +79,10 @@ def bracket_coefficient(m3: int, g: SignedSqrtRational) -> complex:
     """The complex coefficient -i*(-1)^m3 * g / sqrt(pi) of a bracket term.
 
     ``g`` is the root of a ``bracket_expand`` term and m3 = m1 + m2 the order
-    of its output harmonic.
+    of its output harmonic.  The magnitude is g / sqrt(pi) correctly rounded.
     """
-    # Scale before the phase: the sign of the real part's zero depends on it.
-    return complex(0.0, -_parity(m3)) * (g.to_float() * _PI_POWER)
+    # Round before the phase: the sign of the real part's zero depends on it.
+    return complex(0.0, -_parity(m3)) * to_double([(g.sign, g.num, g.den, True, -0.5)])
 
 
 def bracket_expand(a: HarmonicIndex, b: HarmonicIndex) -> Dict[int, SignedSqrtRational]:

@@ -205,6 +205,21 @@ def test_mc_decimal_rotation_is_exact(capsys):
     assert record["float"] == pytest.approx(-12 / math.pi + math.sqrt(9 / 175 / math.pi), rel=1e-15)
 
 
+@pytest.mark.parametrize("argv,want", [
+    # -30/pi; the float of 30 over the float of pi was -9.549296585513721.
+    (("mc", "--a", "1", "0", "--b", "3", "-2"), -9.54929658551372),
+    # Near the critical rate the value nearly cancels; three rounded parts gave 0.0.
+    (("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "2.9854106607209228"), -4.2390507108542164e-16),
+    # sqrt(36/7 10**616 / pi) - 12/pi is a double, though its radicand's root is not.
+    (("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e308"), 1.2794617117375385e308),
+])
+def test_mc_float_is_the_printed_terms_correctly_rounded(capsys, argv, want):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["float"] == want
+    assert out.rstrip("}\n").endswith(f'"float":{want!r}')
+
+
 def test_rhw_threshold_decimal_K(capsys):
     # 4 (2*3 - 2 - K) / MC(e_{3 2}, e_{2 -2}) with K = 1/10 and MC = 10/pi: 39 pi / 25.
     code, out = run_cli(capsys, "rhw", "--threshold", "2", "--wave", "3", "2", "--K", "0.1")
@@ -298,7 +313,8 @@ def test_non_finite_numeric_flag_is_usage_error(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1e308"),
+    # The value is about 1.28 times the rate, so it leaves double range above 1.4e308.
+    ("mc", "--a", "3", "0", "--b", "2", "1", "--rotation", "1.5e308"),
     ("rhw", "--A", "1e200", "0", "--wave", "3", "2", "--probe", "3", "2"),
     # The threshold 4 pi (4 - K) / 10 leaves double range for K > 1.43e308.
     ("rhw", "--threshold", "2", "--wave", "3", "2", "--K", "1.5e308"),

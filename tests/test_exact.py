@@ -1,13 +1,15 @@
 """Exact-arithmetic substrate: factorials, signed square roots, floats."""
 
 import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
-from misiolek.exact import SignedSqrtRational, factorial
+from misiolek.exact import SignedSqrtRational, _pi_bracket, factorial, to_double
 
 SSR = SignedSqrtRational
 
@@ -83,7 +85,7 @@ def test_sqrt_to_float_overflow_is_flagged():
 
 
 def fraction_sqrt_to_float(value):
-    """Reference: the same 120-bit isqrt, rounded through a reduced Fraction."""
+    """Reference: a 120-bit isqrt, rounded through a reduced Fraction."""
     p, q = value.numerator, value.denominator
     if p == 0:
         return 0.0
@@ -155,3 +157,58 @@ def test_sqrt_to_float_matches_decimal_oracle():
         want = float(Decimal(value.numerator).sqrt() / Decimal(value.denominator).sqrt())
         got = SSR.sqrt(value).to_float()
         assert _ulps_apart(got, want) <= 2
+
+
+def mp_terms(terms):
+    """The sum of exact terms at mpmath's working precision."""
+    total = mpmath.mpf(0)
+    for sign, num, den, root, pi_exp in terms:
+        x = mpmath.mpf(num) / den
+        total += sign * (mpmath.sqrt(x) if root else x) * mpmath.pi ** pi_exp
+    return total
+
+
+def test_to_double_is_correctly_rounded():
+    # Seeded sums of one to four terms, one per power of pi, with parts of up
+    # to 600 bits that may cancel, against mpmath at 3,000 bits.
+    rng = random.Random(27)
+    kinds = [(False, 0), (True, 0), (False, -1), (True, -0.5), (False, 1)]
+    for _ in range(400):
+        terms, powers = [], set()
+        for root, pi_exp in rng.sample(kinds, rng.randrange(1, 5)):
+            if pi_exp not in powers:
+                powers.add(pi_exp)
+                size = rng.choice((8, 64, 600))
+                terms.append((rng.choice((-1, 1)), rng.randrange(1, 2 ** size), rng.randrange(1, 2 ** size),
+                              root, pi_exp))
+        with mpmath.workprec(3000):
+            want = float(mp_terms(terms))
+        assert to_double(terms) == want, terms
+
+
+def test_to_double_edges():
+    assert to_double([]) == 0.0
+    # A lone rational term is one division, including its overflow.
+    assert to_double([(-1, 1, 3, False, 0)]) == -1 / 3
+    with pytest.raises(OverflowError):
+        to_double([(1, 10 ** 400, 1, False, 0)])
+    # Below double range: a correctly rounded subnormal, or a zero of the value's sign.
+    assert to_double([(1, 1, 3 << 1070, False, -1)]) == 2 * 2.0 ** -1074
+    assert to_double([(-1, 1, 3 << 2140, True, -0.5)]) == -5 * 2.0 ** -1074
+    for sign in (1, -1):
+        zero = to_double([(sign, 1, 1 << 2200, True, 0)])
+        assert zero == 0 and math.copysign(1, zero) == sign
+    # pi n just below and just above 2**1024 - 2**970, where rounding overflows.
+    with mpmath.workdps(400):
+        n = int(mpmath.floor((2 ** 1024 - 2 ** 970) / mpmath.pi))
+    assert to_double([(1, n, 1, False, 1)]) == 1.7976931348623157e308
+    with pytest.raises(OverflowError):
+        to_double([(1, n + 1, 1, False, 1)])
+
+
+def test_pi_power_brackets_hold_their_powers():
+    for bits in (64, 128, 1024, 2048):
+        for pi_exp in (-1, -0.5, 0, 1):
+            lo, hi = _pi_bracket(bits, pi_exp)
+            with mpmath.workprec(2 * bits + 64):
+                assert lo <= mpmath.pi ** pi_exp * 2 ** bits <= hi and hi - lo <= 3, (bits, pi_exp)

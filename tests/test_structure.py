@@ -5,6 +5,7 @@ import pickle
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,16 +165,23 @@ def test_bracket_lookup_by_degree():
 
 
 def test_bracket_coefficient_float_is_pinned():
-    # The float is the root's float times 1/sqrt(pi), then times the phase
-    # -i*(-1)^m3; its bits, signed zeros included, reach the CLI's JSON output.
+    # The float is g / sqrt(pi) correctly rounded (against mpmath at 60
+    # digits), then times the phase -i*(-1)^m3; its bits, signed zeros
+    # included, reach the CLI's JSON output.  The root's float times a
+    # rounded pi**-0.5 missed 1,624 of these 5,644 magnitudes.
     indices = [HarmonicIndex(l, m) for l in range(7) for m in range(-l, l + 1)]
-    for a in indices:
-        for b in indices:
-            m3 = a.m + b.m
-            for l3, g in bracket_expand(a, b).items():
-                want = complex(0, 1 if m3 % 2 else -1) * (g.to_float() * math.pi ** -0.5)
-                got = bracket_coefficient(m3, g)
-                assert got == want and repr(got) == repr(want), (a, b, l3)
+    terms = 0
+    with mpmath.workdps(60):
+        for a in indices:
+            for b in indices:
+                m3 = a.m + b.m
+                for l3, g in bracket_expand(a, b).items():
+                    size = float(g.sign * mpmath.sqrt(mpmath.mpf(g.num) / g.den / mpmath.pi))
+                    want = complex(0, 1 if m3 % 2 else -1) * size
+                    got = bracket_coefficient(m3, g)
+                    assert got == want and repr(got) == repr(want), (a, b, l3)
+                    terms += 1
+    assert terms == 5644
 
 
 def test_bracket_of_identical_fields_is_empty():

@@ -107,6 +107,20 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
+def test_only_the_oracle_names_math_pi_or_math_sqrt():
+    # Every other float is an exact value rounded once by exact.to_double, so
+    # a rounded pi or root anywhere else would be a second float route.
+    names = []
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+                names.append((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                names += [(path.name, alias.name) for alias in node.names]
+    assert {(module, name) for module, name in names if name in ("pi", "sqrt")} == {
+        ("oracle.py", "pi"), ("oracle.py", "sqrt")}
+
+
 def test_immutability_is_written_once():
     owners = []
     for path in _modules():
