@@ -179,20 +179,28 @@ class Frozen:
         return (type(self), self._values)
 
 
+def _rational(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction; TypeError unless it is an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"an exact rational must be an int or a Fraction, got {type(value).__name__}")
+    return Fraction(value)
+
+
 class SignedSqrtRational(Frozen):
     """Exact value ``sign * sqrt(num/den)`` with integers ``num >= 0``, ``den > 0``.
 
     The representation is canonical: ``num/den`` is in lowest terms and
     ``sign == 0`` iff ``num == 0``, so equality of the three integers is exact
     value equality.  Values are immutable, because cached results are shared
-    by every caller; equality, hash, repr and pickling are its own, in terms
-    of the radicand.
+    by every caller; equality and hash are ``Frozen``'s on the three integers,
+    while repr and pickling are in terms of the radicand.  Rational arguments
+    must be an ``int`` or a ``Fraction``: a float is not an exact value.
     """
 
     __slots__ = _fields = ("sign", "num", "den")
 
     def __init__(self, sign: int, radicand: RationalLike) -> None:
-        rad = Fraction(radicand)
+        rad = _rational(radicand)
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
         if rad < 0:
@@ -220,7 +228,7 @@ class SignedSqrtRational(Frozen):
     @classmethod
     def of(cls, sign: int, radicand: RationalLike) -> "SignedSqrtRational":
         """Normalizing constructor: collapses any zero to the canonical zero."""
-        rad = Fraction(radicand)
+        rad = _rational(radicand)
         if sign == 0 or rad == 0:
             return cls.zero()
         return cls(1 if sign > 0 else -1, rad)
@@ -229,36 +237,12 @@ class SignedSqrtRational(Frozen):
     def zero(cls) -> "SignedSqrtRational":
         return cls._reduce(0, 0, 1)
 
-    @classmethod
-    def from_rational(cls, value: RationalLike) -> "SignedSqrtRational":
-        """Embed an exact rational r as sign(r)*sqrt(r**2)."""
-        v = Fraction(value)
-        if v == 0:
-            return cls.zero()
-        return cls._reduce(1 if v > 0 else -1, v.numerator ** 2, v.denominator ** 2)
-
-    @classmethod
-    def sqrt(cls, value: RationalLike) -> "SignedSqrtRational":
-        """Principal square root of a nonnegative rational."""
-        v = Fraction(value)
-        if v < 0:
-            raise ValueError("sqrt of negative rational")
-        return cls.of(1, v)
-
     @property
     def radicand(self) -> Fraction:
         return Fraction(self.num, self.den)
 
     def __reduce__(self):
         return (type(self), (self.sign, self.radicand))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SignedSqrtRational):
-            return NotImplemented
-        return self.sign == other.sign and self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.sign, self.num, self.den))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(sign={self.sign}, radicand={self.radicand!r})"
@@ -270,8 +254,11 @@ class SignedSqrtRational(Frozen):
         return SignedSqrtRational._reduce(-self.sign, self.num, self.den)
 
     def scale(self, factor: RationalLike) -> "SignedSqrtRational":
-        """Exact product with a rational scalar (folded into the radicand)."""
-        return self * SignedSqrtRational.from_rational(factor)
+        """Exact product with a rational scalar c, folded into the radicand as c**2."""
+        c = _rational(factor)
+        p = c.numerator
+        return SignedSqrtRational._reduce(self.sign * ((p > 0) - (p < 0)), self.num * p * p,
+                                          self.den * c.denominator ** 2)
 
     def is_zero(self) -> bool:
         return self.sign == 0

@@ -5,18 +5,17 @@ over one common denominator and only then splits off the square root, so
 cancellations are exact; it is the single-symbol path.  ``_racah_core`` is
 that sum uncached and unreduced, a ``(sign, num, den)`` triple, for a symbol
 that is read once and multiplied into a larger radicand before any gcd (the
-m-symbol of ``structure.g_real``); ``_racah_sum`` is its reduced value, and
-``_racah`` is that function behind an unbounded cache, which ``threej_lm``
-reads, for symbols that repeat, such as the (l1 l2 l3; 1 -1 0) symbol shared
-by every order pair of a degree triple.
+m-symbol of ``structure.g_real``); ``_racah`` is its reduced value behind an
+unbounded cache, which ``threej_lm`` reads, for symbols that repeat, such as
+the (l1 l2 l3; 1 -1 0) symbol shared by every order pair of a degree triple.
 A whole band of symbols over the third degree comes from one integer
 three-term recurrence instead.  Two closed forms and one recursion are kept
 as separate operations: they are cross-validation targets, not fast paths.
+Each builds its symbol as one integer triple and reduces it once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
 from typing import Iterator, Tuple
@@ -76,12 +75,10 @@ def _racah_core(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> Tuple[i
     return sign, num, common * common * factorial(l1 + l2 + l3 + 1)
 
 
-def _racah_sum(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
+@lru_cache(maxsize=None)
+def _racah(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> SignedSqrtRational:
     """The Racah sum's symbol, reduced with one gcd; assumes selection rules hold."""
     return SignedSqrtRational._reduce(*_racah_core(l1, l2, l3, m1, m2, m3))
-
-
-_racah = lru_cache(maxsize=None)(_racah_sum)
 
 
 def threej_band(l1: int, l2: int, m1: int, m2: int, j_low: int) -> Iterator[Tuple[int, int, int, int]]:
@@ -153,18 +150,30 @@ def threej_closed_stretched(l1: int, m: int, l3: int, m1: int) -> SignedSqrtRati
         return SignedSqrtRational.zero()
     if not abs(l1 - m) <= l3 <= l1 + m:
         return SignedSqrtRational.zero()
-    radicand = Fraction(
-        factorial(2 * m)
-        * factorial(l1 + l3 - m)
-        * factorial(l3 - m1 + m)
-        * factorial(l1 + m1),
-        factorial(l1 + l3 + m + 1)
-        * factorial(l1 - l3 + m)
-        * factorial(-l1 + l3 + m)
-        * factorial(l3 + m1 - m)
-        * factorial(l1 - m1),
+    num = factorial(2 * m) * factorial(l1 + l3 - m) * factorial(l3 - m1 + m) * factorial(l1 + m1)
+    den = (
+        factorial(l1 + l3 + m + 1) * factorial(l1 - l3 + m) * factorial(-l1 + l3 + m)
+        * factorial(l3 + m1 - m) * factorial(l1 - m1)
     )
-    return SignedSqrtRational.of(_parity(l1 - m1), radicand)
+    return SignedSqrtRational._reduce(_parity(l1 - m1), num, den)
+
+
+def _closed_110(l1: int, l2: int, l3: int) -> Tuple[int, int, int]:
+    """(l1 l2 l3; 1 -1 0) as an unreduced ``(sign, num, den)``.
+
+    Needs an odd degree sum inside the triangle.  The symbol is a signed root
+    of a factorial ratio times a positive rational p/q, folded in as p**2/q**2.
+    """
+    big_j = l1 + l2 + l3 + 1
+    half = big_j // 2
+    p = factorial(half)
+    q = 2 * factorial(half - l3) * factorial(half - l1) * factorial(half - l2 - 1)
+    num = (
+        (big_j + 1) * (big_j - 2 * l3) * (big_j - 2 * l1) * (big_j - 2 * l2 - 1)
+        * factorial(big_j - 2 * l3) * factorial(big_j - 2 * l1) * factorial(big_j - 2 * l2 - 2)
+    )
+    den = l1 * (l1 + 1) * l2 * (l2 + 1) * factorial(big_j + 1)
+    return _parity(half), num * p * p, den * q * q
 
 
 def threej_closed_110(l1: int, l2: int, l3: int) -> SignedSqrtRational:
@@ -180,18 +189,7 @@ def threej_closed_110(l1: int, l2: int, l3: int) -> SignedSqrtRational:
         raise ClosedFormDomainError("degree sum must be odd for this closed form")
     if not abs(l1 - l2) <= l3 <= l1 + l2:
         return SignedSqrtRational.zero()
-    half = big_j // 2
-    radicand = Fraction(
-        (big_j + 1) * (big_j - 2 * l3) * (big_j - 2 * l1) * (big_j - 2 * l2 - 1)
-        * factorial(big_j - 2 * l3) * factorial(big_j - 2 * l1) * factorial(big_j - 2 * l2 - 2),
-        l1 * (l1 + 1) * l2 * (l2 + 1) * factorial(big_j + 1),
-    )
-    prefactor = Fraction(
-        factorial(half),
-        2 * factorial(half - l3) * factorial(half - l1) * factorial(half - l2 - 1),
-    )
-    root = SignedSqrtRational.of(_parity(half), radicand)
-    return root.scale(prefactor)
+    return SignedSqrtRational._reduce(*_closed_110(l1, l2, l3))
 
 
 def threej_recursive_112(l1: int, l2: int, l3: int) -> SignedSqrtRational:
@@ -212,11 +210,9 @@ def threej_recursive_112(l1: int, l2: int, l3: int) -> SignedSqrtRational:
         raise ClosedFormDomainError("denominator l3(l3+1)-2 vanishes for l3 <= 1")
     if (l1 + l2 + l3) % 2 == 0:
         raise ClosedFormDomainError("degree sum must be odd for this recursion")
-    if not abs(l1 - l2) <= l3 <= l1 + l2:
+    if l1 == l2 or not abs(l1 - l2) <= l3 <= l1 + l2:
         return SignedSqrtRational.zero()
-    turn1 = l1 * (l1 + 1)
-    turn2 = l2 * (l2 + 1)
-    turn3 = l3 * (l3 + 1)
-    base = threej_closed_110(l2, l3, l1).scale(turn2 - turn1)
-    return base * SignedSqrtRational.sqrt(Fraction(1, turn1 * (turn3 - 2)))
-
+    turn1, turn2, turn3 = l1 * (l1 + 1), l2 * (l2 + 1), l3 * (l3 + 1)
+    sign, num, den = _closed_110(l2, l3, l1)
+    return SignedSqrtRational._reduce(sign if turn2 > turn1 else -sign, num * (turn2 - turn1) ** 2,
+                                      den * turn1 * (turn3 - 2))

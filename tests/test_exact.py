@@ -65,23 +65,46 @@ def test_ssr_zero_normalization():
         SSR(2, Fraction(1))
 
 
-def test_ssr_from_rational_and_square():
-    v = SSR.from_rational(Fraction(-3, 7))
+def test_ssr_scale_by_rational_and_square():
+    one = SSR.of(1, 1)
+    v = one.scale(Fraction(-3, 7))
     assert v.sign == -1 and v.radicand == Fraction(9, 49)
-    assert SSR.from_rational(2) * SSR.from_rational(3) == SSR.from_rational(6)
+    assert one.scale(2) * one.scale(3) == one.scale(6)
+    assert one.scale(0) == SSR.of(-1, 5).scale(0) == SSR.zero()
+    assert SSR.zero().scale(Fraction(-3, 7)) == SSR.zero()
+
+
+@given(st.sampled_from([-1, 0, 1]), rationals, rationals)
+def test_ssr_scale_is_the_product_with_the_squared_rational(sign, radicand, c):
+    a = SSR.of(sign, abs(radicand))
+    got = a.scale(c)
+    assert got == a * SSR.of((c > 0) - (c < 0), c * c)
+    assert got.den > 0 and math.gcd(got.num, got.den) == 1 and (got.sign == 0) == (got.num == 0)
+
+
+def test_ssr_rejects_inexact_rationals():
+    # A binary float is no exact radicand: 0.1 would be stored as
+    # 3602879701896397/36028797018963968.
+    for bad in (0.1, 2.0, Decimal("0.1"), "1/3"):
+        with pytest.raises(TypeError):
+            SSR.of(1, bad)
+        with pytest.raises(TypeError):
+            SSR(1, bad)
+        with pytest.raises(TypeError):
+            SSR.of(1, 2).scale(bad)
 
 
 def test_sqrt_to_float_huge_operands():
     # numerator and denominator both overflow doubles; the quotient does not
     big = Fraction(factorial(200), factorial(198)) ** 10  # (200*199)**10
-    assert SSR.sqrt(big).to_float() == pytest.approx((200 * 199) ** 5, rel=1e-15)
+    assert SSR.of(1, big).to_float() == pytest.approx((200 * 199) ** 5, rel=1e-15)
 
 
 def test_sqrt_to_float_overflow_is_flagged():
     with pytest.raises(OverflowError):
-        SSR.sqrt(Fraction(10) ** 700).to_float()
+        SSR.of(1, Fraction(10) ** 700).to_float()
     with pytest.raises(ValueError):
-        SSR.sqrt(Fraction(-1, 3))
+        SSR.of(1, Fraction(-1, 3))
 
 
 def fraction_sqrt_to_float(value):
@@ -107,11 +130,8 @@ def test_sqrt_to_float_bits_match_fraction_reference(p, q):
         want = fraction_sqrt_to_float(value)
     except OverflowError:
         with pytest.raises(OverflowError):
-            SSR.sqrt(value).to_float()
-        with pytest.raises(OverflowError):
             SSR.of(1, value).to_float()
         return
-    assert SSR.sqrt(value).to_float().hex() == want.hex()
     assert SSR.of(1, value).to_float().hex() == want.hex()
     assert SSR.of(-1, value).to_float().hex() == (-want if p else 0.0).hex()
 
@@ -155,7 +175,7 @@ def test_sqrt_to_float_matches_decimal_oracle():
     for value in (Fraction(2), Fraction(1, 3), Fraction(22680), Fraction(3, 4),
                   Fraction(10**30, 7), Fraction(1, 10**25)):
         want = float(Decimal(value.numerator).sqrt() / Decimal(value.denominator).sqrt())
-        got = SSR.sqrt(value).to_float()
+        got = SSR.of(1, value).to_float()
         assert _ulps_apart(got, want) <= 2
 
 

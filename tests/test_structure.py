@@ -42,7 +42,7 @@ def test_l123_examples():
     assert _l123_squared(2, 1, 2) == 900 == 30 ** 2
     # high-precision float oracle: Decimal(22680).sqrt()
     assert _l123_squared(3, 2, 4) == 22680
-    assert SSR.sqrt(_l123_squared(3, 2, 4)).to_float() == pytest.approx(150.5988047761336, abs=0)
+    assert SSR.of(1, _l123_squared(3, 2, 4)).to_float() == pytest.approx(150.5988047761336, abs=0)
     # A degree-zero input gives a zero prefactor, so g vanishes there.
     assert _l123_squared(0, 1, 1) == _l123_squared(1, 0, 1) == 0
 
@@ -95,7 +95,7 @@ def test_g_real_is_the_reduced_product_of_its_symbols():
     for l1 in range(9):
         for l2 in range(9):
             for l3 in range(9):
-                half_l123 = SSR.sqrt(Fraction(_l123_squared(l1, l2, l3), 4))
+                half_l123 = SSR.of(1, Fraction(_l123_squared(l1, l2, l3), 4))
                 flat = threej_lm(l1, l2, l3, 1, -1, 0)
                 for m1 in range(-l1, l1 + 1):
                     for m2 in range(-l2, l2 + 1):

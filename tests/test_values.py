@@ -98,13 +98,26 @@ def _modules():
     return sorted(SOURCE.glob("*.py"))
 
 
+def _imported_modules(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return names
+
+
 def test_no_module_imports_dataclasses():
     for path in _modules():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                assert all(alias.name != "dataclasses" for alias in node.names), path.name
-            elif isinstance(node, ast.ImportFrom):
-                assert node.module != "dataclasses", path.name
+        assert "dataclasses" not in _imported_modules(path), path.name
+
+
+def test_the_3j_layer_imports_no_fractions():
+    # 3j symbols and structure constants are integer triples reduced once; a
+    # Fraction there would be a second exact representation on the hot path.
+    for name in ("wigner.py", "structure.py"):
+        assert "fractions" not in _imported_modules(SOURCE / name), name
 
 
 def test_only_the_oracle_names_math_pi_or_math_sqrt():
