@@ -141,21 +141,23 @@ class Frozen:
     A subclass declares its ``__slots__``, the two or more ``_fields`` among
     them that make up its value, and an ``__init__`` that writes each slot
     through ``self._writers``, the slot descriptors' setters in slot order
-    (plain assignment is refused).  ``_values`` is the field tuple: values of
-    the same type are equal when their field tuples are, the hash is that of
-    the tuple, the repr is ``Name(field=value, ...)`` and a pickle rebuilds
-    from the tuple.
+    (plain assignment is refused).  ``_key`` reads the field tuple off a
+    value: values of the same type are equal when their field tuples are,
+    the hash is that of the tuple, the repr is ``Name(field=value, ...)`` and
+    a pickle rebuilds from the tuple.
     """
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
     _writers: Tuple[Callable[[object, object], None], ...] = ()
+    _key: Callable[[object], tuple]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._writers = tuple(getattr(cls, name).__set__ for name in cls.__dict__.get("__slots__", ()))
-        # The field tuple in one C call (attrgetter of two or more names returns a tuple).
-        cls._values = property(attrgetter(*cls._fields))
+        # The field tuple in one C call (attrgetter of two or more names returns
+        # a tuple); an attrgetter is no descriptor, so self._key is this object.
+        cls._key = attrgetter(*cls._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -166,17 +168,18 @@ class Frozen:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values == other._values
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return (type(self), self._values)
+        return (type(self), self._key(self))
 
 
 def _rational(value: RationalLike) -> Fraction:

@@ -3,10 +3,11 @@
 Everything here is floating point on purpose: harmonics are evaluated
 pointwise from one normalised Legendre recurrence, Poisson brackets are
 formed from analytic derivatives on a Gauss-Legendre x uniform grid, and
-structure constants are recovered by projection, one bracket per pair and
-one dot product per output degree.  The Gauss-Legendre rule comes from the
-same recurrence, by Newton's method on its zonal member, so the oracle
-needs nothing from numpy beyond array arithmetic.  Agreement with the exact
+structure constants are recovered by projection: one bracket call brackets
+a harmonic with a stack of probes of one order, and each bracket takes one
+dot product per output degree.  The Gauss-Legendre rule comes from the same
+recurrence, by Newton's method on its zonal member, so the oracle needs
+nothing from numpy beyond array arithmetic.  Agreement with the exact
 Dowker pipeline is the central anti-drift check of the whole artifact.
 
 The recurrence carries only factors of order one, so no degree leaves double
@@ -108,7 +109,8 @@ class GridFunction:
     its lambda-derivative is ``1j * m * values``, and its mu-derivative
     samples ``d_mu``.  Grid harmonics also carry ``dual``, the conjugated
     samples times the quadrature weights, so that pairing against them is
-    one dot product.
+    one dot product.  Functions of one order can be stacked on a leading
+    axis of ``values`` and ``d_mu``; a bracket broadcasts over it.
     """
 
     __slots__ = ("values", "m", "d_mu", "dual")
@@ -236,20 +238,31 @@ def poisson_bracket(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(values=(1j * f.m * f.values) * g.d_mu - f.d_mu * (1j * g.m * g.values))
 
 
-def oracle_structure_coeff(a: HarmonicIndex, b: HarmonicIndex, grid: QuadratureGrid) -> Dict[int, complex]:
-    """Projections {l3: G^{l3 m3}} of {Y_a, Y_b} onto Y_{l3 m3}, m3 = a.m + b.m.
+def oracle_structure_coeff(a: HarmonicIndex, probes: GridFunction,
+                           grid: QuadratureGrid) -> List[Dict[int, complex]]:
+    """Projections {l3: G^{l3 m3}} of {Y_a, Y_b} onto Y_{l3 m3}, one dict per probe Y_b.
 
-    Computed entirely on the grid, independent of the exact pipeline: one
-    bracket per call, then one dot product against a cached dual for every
-    l3 from |m3| to ``grid.l_max``, ascending; ``{}`` when |m3| > l_max.  The
-    grid must resolve both input degrees.  It caches the two input
-    harmonics, and on the first call for the order m3 the dual of every
-    degree of that order, but no other harmonic.  Each value is bit for bit
-    that of ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_{l3 m3})``.
+    ``probes`` is one grid harmonic Y_b, or a ``GridFunction`` stacking grid
+    harmonics of one order m on a leading axis (``values`` and ``d_mu``,
+    with ``m`` the common order); m3 = a.m + m.  Computed entirely on the
+    grid, independent of the exact pipeline: one ``poisson_bracket`` call
+    forms every bracket with Y_a, then each flattened bracket takes one dot
+    product against a cached dual for every l3 from |m3| to ``grid.l_max``,
+    ascending.  The list holds one dict per probe, in the order of the
+    leading axis (one dict for a single harmonic), each ``{}`` when
+    |m3| > l_max.  The grid must resolve a's degree and the probes must be
+    sampled on it, or ValueError is raised.  A call caches Y_a, and on the
+    first call for the order m3 the dual of every degree of that order, but
+    no other harmonic.  Each value is bit for bit that of
+    ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_{l3 m3})``.
     """
-    if max(a.l, b.l) > grid.l_max:
-        raise ValueError(f"degrees exceed grid resolution l_max={grid.l_max}")
-    m3 = a.m + b.m
-    bracket = poisson_bracket(grid._cached(a), grid._cached(b)).values.ravel()
-    return {l3: complex(bracket.dot(dual))
-            for l3, dual in enumerate(grid._duals_of_order(m3), start=abs(m3))}
+    shape = (len(grid.mu), len(grid.lam))
+    if a.l > grid.l_max:
+        raise ValueError(f"degree {a.l} exceeds grid resolution l_max={grid.l_max}")
+    if probes.values.shape[-2:] != shape:
+        raise ValueError("the probes must be sampled on this grid")
+    m3 = a.m + probes.m
+    brackets = poisson_bracket(grid._cached(a), probes).values.reshape(-1, shape[0] * shape[1])
+    duals = grid._duals_of_order(m3)
+    return [{l3: complex(row.dot(dual)) for l3, dual in enumerate(duals, start=abs(m3))}
+            for row in brackets]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import misiolek.oracle
+import misiolek.suites
 from misiolek.oracle import (
     GridFunction,
     QuadratureGrid,
@@ -297,14 +298,24 @@ def test_bracket_requires_derivatives(grid):
         poisson_bracket(bare, grid.harmonic(HarmonicIndex(1, 1)))
 
 
+def _bracket_by_formula(ya, yb):
+    return (1j * ya.m * ya.values) * yb.d_mu - ya.d_mu * (1j * yb.m * yb.values)
+
+
 def test_bracket_forms_lambda_derivatives_bit_for_bit(grid):
     # The bracket forms each f_lam as 1j m f; the products and their order are pinned.
     pairs = _suite_pairs(6)
     assert len(pairs) == 2052
     for a, b in pairs:
         ya, yb = grid.harmonic(a), grid.harmonic(b)
-        want = (1j * a.m * ya.values) * yb.d_mu - ya.d_mu * (1j * b.m * yb.values)
-        assert poisson_bracket(ya, yb).values.tobytes() == want.tobytes(), (a, b)
+        assert poisson_bracket(ya, yb).values.tobytes() == _bracket_by_formula(ya, yb).tobytes(), (a, b)
+    # Against a stack of probes the bracket broadcasts: row i is the pair's bracket.
+    for a, bs in _suite_stacks(6):
+        ya = grid.harmonic(a)
+        brackets = poisson_bracket(ya, _stacked(grid, bs)).values
+        assert brackets.shape == (len(bs), 14, 19)
+        for b, row in zip(bs, brackets):
+            assert row.tobytes() == _bracket_by_formula(ya, grid.harmonic(b)).tobytes(), (a, b)
 
 
 def test_bracket_antisymmetry_pointwise(grid):
@@ -333,14 +344,14 @@ def test_projection_selection_rules(grid):
     # azimuthal integral kills m3 != m1 + m2; parity kills even degree sums
     bracket = poisson_bracket(grid.harmonic(HarmonicIndex(2, 1)), grid.harmonic(HarmonicIndex(3, 1)))
     assert abs(grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(4, 1)))) < 1e-12
-    assert abs(oracle_structure_coeff(HarmonicIndex(2, 1), HarmonicIndex(3, 1), grid)[3]) < 1e-12
-    assert abs(oracle_structure_coeff(HarmonicIndex(2, 0), HarmonicIndex(2, 1), grid)[2]) < 1e-12
+    assert abs(oracle_structure_coeff(HarmonicIndex(2, 1), grid.harmonic(HarmonicIndex(3, 1)), grid)[0][3]) < 1e-12
+    assert abs(oracle_structure_coeff(HarmonicIndex(2, 0), grid.harmonic(HarmonicIndex(2, 1)), grid)[0][2]) < 1e-12
 
 
 def test_rotation_generator_column(grid):
     # {Y_{1 0}, Y_{l m}} projects to -i m sqrt(3/(4 pi)) at (l, m) and nowhere else
     for l2, m2 in ((2, 1), (4, -3), (6, 5)):
-        column = oracle_structure_coeff(HarmonicIndex(1, 0), HarmonicIndex(l2, m2), grid)
+        column, = oracle_structure_coeff(HarmonicIndex(1, 0), grid.harmonic(HarmonicIndex(l2, m2)), grid)
         assert list(column) == list(range(abs(m2), 7))
         for l3, got in column.items():
             want = -1j * m2 * math.sqrt(3 / (4 * math.pi)) if l3 == l2 else 0.0
@@ -349,9 +360,10 @@ def test_rotation_generator_column(grid):
 
 def test_grid_resolution_contract(grid):
     with pytest.raises(ValueError):
-        oracle_structure_coeff(HarmonicIndex(7, 0), HarmonicIndex(3, 1), grid)
-    with pytest.raises(ValueError):
-        oracle_structure_coeff(HarmonicIndex(2, 1), HarmonicIndex(7, 2), grid)  # degree above the grid
+        oracle_structure_coeff(HarmonicIndex(7, 0), grid.harmonic(HarmonicIndex(3, 1)), grid)
+    with pytest.raises(ValueError):  # a probe of degree above the grid, sampled on a finer grid
+        oracle_structure_coeff(HarmonicIndex(2, 1), QuadratureGrid.for_degree(7).harmonic(HarmonicIndex(7, 2)),
+                               grid)
     with pytest.raises(ValueError):
         grid.harmonic(HarmonicIndex(9, 0))
     with pytest.raises(ValueError):
@@ -359,9 +371,9 @@ def test_grid_resolution_contract(grid):
     # One entry per degree that carries the order m3, up to the grid's l_max.
     for (l1, m1), (l2, m2) in (((2, 1), (3, 1)), ((1, 0), (1, 0)), ((6, -6), (5, 1)), ((4, 4), (6, 2))):
         m3 = m1 + m2
-        got = oracle_structure_coeff(HarmonicIndex(l1, m1), HarmonicIndex(l2, m2), grid)
+        got = oracle_structure_coeff(HarmonicIndex(l1, m1), grid.harmonic(HarmonicIndex(l2, m2)), grid)[0]
         assert list(got) == list(range(abs(m3), grid.l_max + 1)), (l1, m1, l2, m2)
-    assert oracle_structure_coeff(HarmonicIndex(6, 6), HarmonicIndex(3, 1), grid) == {}
+    assert oracle_structure_coeff(HarmonicIndex(6, 6), grid.harmonic(HarmonicIndex(3, 1)), grid) == [{}]
 
 
 def test_structure_coeff_caches_only_its_input_harmonics():
@@ -369,7 +381,7 @@ def test_structure_coeff_caches_only_its_input_harmonics():
     # of that order, and they are the cached harmonics' duals bit for bit.
     wide = QuadratureGrid.for_degree(60)
     a, b = HarmonicIndex(60, 1), HarmonicIndex(59, 1)
-    column = oracle_structure_coeff(a, b, wide)
+    column, = oracle_structure_coeff(a, wide.harmonic(b), wide)
     assert list(column) == list(range(2, 61))
     assert sorted(wide._harmonics) == [(59, 1), (60, 1)]
     for l3, dual in zip((2, 31, 60), (wide._order_duals[2][i] for i in (0, 29, 58))):
@@ -383,24 +395,50 @@ def _suite_pairs(l_max):
     return [(a, b) for a in indices for b in indices if abs(a.m + b.m) <= l_max]
 
 
+def _suite_stacks(l_max):
+    """(a, probes of one order) of every call oracle_suite makes, in its order."""
+    indices = [HarmonicIndex(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    return [(a, [HarmonicIndex(l, m) for l in range(max(1, abs(m)), l_max + 1)])
+            for a in indices for m in range(-l_max, l_max + 1) if abs(a.m + m) <= l_max]
+
+
+def _stacked(grid, bs):
+    """The grid harmonics bs, all of one order, stacked on a leading axis."""
+    ys = [grid.harmonic(b) for b in bs]
+    return GridFunction(values=np.stack([y.values for y in ys]), m=ys[0].m,
+                        d_mu=np.stack([y.d_mu for y in ys]))
+
+
 def _projected_directly(grid, a, b, l3):
     bracket = poisson_bracket(grid.harmonic(a), grid.harmonic(b))
     return grid.pair_conjugated(bracket, grid.harmonic(HarmonicIndex(l3, a.m + b.m)))
 
 
-@pytest.mark.parametrize("order", ["suite", "shuffled"])
+@pytest.mark.parametrize("order", ["suite", "shuffled", "stacked"])
 def test_structure_coeff_is_the_direct_projection_bit_for_bit(grid, order):
-    # Each call forms its own bracket, so the order of the pairs must not matter.
-    pairs = _suite_pairs(6)
-    assert len(pairs) == 2052
-    if order == "shuffled":
-        random.Random(7).shuffle(pairs)
+    # Each call forms its own brackets, so neither the order of the pairs nor
+    # a probe's row in a stack may matter.
+    if order == "stacked":
+        calls = _suite_stacks(6)
+        assert len(calls) == 512
+        shuffle = random.Random(7).shuffle
+        for _, bs in calls:
+            shuffle(bs)
+    else:
+        calls = [(a, [b]) for a, b in _suite_pairs(6)]
+        assert len(calls) == 2052
+        if order == "shuffled":
+            random.Random(7).shuffle(calls)
     entries = 0
-    for a, b in pairs:
-        for l3, got in oracle_structure_coeff(a, b, grid).items():
-            want = _projected_directly(grid, a, b, l3)
-            assert got == want and repr(got) == repr(want), (a, b, l3)
-            entries += 1
+    for a, bs in calls:
+        probes = _stacked(grid, bs) if order == "stacked" else grid.harmonic(bs[0])
+        columns = oracle_structure_coeff(a, probes, grid)
+        assert len(columns) == len(bs)
+        for b, column in zip(bs, columns):
+            for l3, got in column.items():
+                want = _projected_directly(grid, a, b, l3)
+                assert got == want and repr(got) == repr(want), (a, b, l3)
+                entries += 1
     assert entries == 8876
 
 
@@ -411,13 +449,63 @@ def test_oracle_suite_at_degree_6():
     assert result.max_deviation <= 5e-14
 
 
+class _SkewedGrid(QuadratureGrid):
+    """A grid whose Y_{2 -1} and Y_{2 1} duals are scaled by 1 + 1e-11.
+
+    Every pairing of unit value against either is off by 1e-11: the four
+    pairs of Y_{2 -1} and Y_{2 1}, whose (a, b) order differs from (b, a) order.
+    """
+
+    @classmethod
+    def for_degree(cls, l_max):
+        grid = super().for_degree(l_max)
+        for m in (-1, 1):
+            grid.harmonic(HarmonicIndex(2, m)).dual *= 1 + 1e-11
+        return grid
+
+
+#: What oracle_suite(3) reports on the skewed grid, then with every exact
+#: coefficient of (m3 parity, g) = (1, g of {Y_{1 0}, Y_{2 1}} at l3 = 2) off by 1e-6.
+_INJECTED_FAILURES = [
+    "pairing identity off at HarmonicIndex(l=2, m=-1), HarmonicIndex(l=2, m=-1): dev 1.00e-11",
+    "pairing identity off at HarmonicIndex(l=2, m=-1), HarmonicIndex(l=2, m=1): dev 1.00e-11",
+    "pairing identity off at HarmonicIndex(l=2, m=1), HarmonicIndex(l=2, m=-1): dev 1.00e-11",
+    "pairing identity off at HarmonicIndex(l=2, m=1), HarmonicIndex(l=2, m=1): dev 1.00e-11",
+    "structure coefficient off at (HarmonicIndex(l=1, m=-1),HarmonicIndex(l=1, m=0),l3=1): dev 1.00e-06",
+    "structure coefficient off at (HarmonicIndex(l=1, m=0),HarmonicIndex(l=1, m=1),l3=1): dev 1.00e-06",
+    "structure coefficient off at (HarmonicIndex(l=1, m=0),HarmonicIndex(l=2, m=1),l3=2): dev 1.00e-06",
+    "structure coefficient off at (HarmonicIndex(l=1, m=0),HarmonicIndex(l=3, m=1),l3=3): dev 1.00e-06",
+    "structure coefficient off at (HarmonicIndex(l=2, m=-1),HarmonicIndex(l=1, m=0),l3=2): dev 1.00e-06",
+    "structure coefficient off at (HarmonicIndex(l=3, m=-1),HarmonicIndex(l=1, m=0),l3=3): dev 1.00e-06",
+]
+
+
+@pytest.mark.parametrize("injected", ["dual_and_coefficient", "coefficient"])
+def test_oracle_suite_reports_injected_errors(monkeypatch, injected):
+    target = bracket_expand(HarmonicIndex(1, 0), HarmonicIndex(2, 1))[2]
+
+    def coefficient(m3, g, exact=misiolek.suites.bracket_coefficient):
+        value = exact(m3, g)
+        return value + 1e-6 if (m3 % 2, g) == (1, target) else value
+
+    monkeypatch.setattr(misiolek.suites, "bracket_coefficient", coefficient)
+    if injected == "dual_and_coefficient":
+        monkeypatch.setattr(misiolek.suites, "QuadratureGrid", _SkewedGrid)
+    result = oracle_suite(3)
+    want = _INJECTED_FAILURES if injected == "dual_and_coefficient" else _INJECTED_FAILURES[4:]
+    assert result.failures == want
+    summary = result.summary()
+    assert (summary["checks"], summary["failures"], summary["first_failure"]) == (1008, len(want), want[0])
+    assert 1e-6 <= summary["max_deviation"] < 1.01e-6
+
+
 def test_oracle_matches_exact_pipeline_small(grid):
     indices = [HarmonicIndex(l, m) for l in range(1, 5) for m in range(-l, l + 1)]
     worst = 0.0
     for a in indices:
         for b in indices:
             expansion = bracket_expand(a, b)
-            for l3, got in oracle_structure_coeff(a, b, grid).items():
+            for l3, got in oracle_structure_coeff(a, grid.harmonic(b), grid)[0].items():
                 g = expansion.get(l3)
                 worst = max(worst, abs(got - (0j if g is None else bracket_coefficient(a.m + b.m, g))))
     assert worst < 1e-12
