@@ -53,6 +53,11 @@ def twins(argv: List[str]) -> List[List[str]]:
     return []
 
 
+def corpus_invocations(seeds: List[int]) -> List[List[str]]:
+    """Every query of each seed's corpus, each followed by its twins."""
+    return [run for seed in seeds for _, argv in make_corpus(seed) for run in [argv] + twins(argv)]
+
+
 def cli_runner(src: str) -> Runner:
     """Runs ``python -m misiolek.cli`` with the package found in ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -108,9 +113,7 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args()
 
-    invocations = [run for seed in args.seeds for _, argv in make_corpus(seed)
-                   for run in [argv] + twins(argv)]
-    invocations += [["verify", "--suite", name] for name in SUITES]
+    invocations = corpus_invocations(args.seeds) + [["verify", "--suite", name] for name in SUITES]
     if args.compare:
         return 1 if compare(invocations, cli_runner(args.src), cli_runner(args.compare), sys.stdout) else 0
     digest(invocations, cli_runner(args.src), sys.stdout)
