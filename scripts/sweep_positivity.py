@@ -70,7 +70,7 @@ def main() -> int:
             continue
         report = mc_flat(HarmonicIndex(l1, m1), HarmonicIndex(m, -m))
         print(f"MC(e_{{{l1} {m1}}}, e_{{{m} {-m}}}) = ({report.value.over_pi})/pi "
-              f"= {report.value_float:.6g}")
+              f"= {report.value.to_float():.6g}")
         for s in report.summands:
             print(f"  l3={s.l3}: g^2 = {s.g_squared_over_pi}/pi, weight {s.weight}")
     print(_resources(), file=sys.stderr)

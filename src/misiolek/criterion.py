@@ -107,10 +107,6 @@ class MCSummand(Frozen):
     def g_squared_over_pi(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    @property
-    def contribution_over_pi(self) -> Fraction:
-        return Fraction(self.num * self.weight, self.den)
-
 
 def _flat_sum(summands: Sequence[MCSummand]) -> Tuple[int, int]:
     """Sum of the summand contributions as ``(num, den)``, over one common ``den > 0``.
@@ -125,6 +121,14 @@ def _flat_sum(summands: Sequence[MCSummand]) -> Tuple[int, int]:
 
 
 def _flat_summands(a: HarmonicIndex, b: HarmonicIndex) -> Tuple[MCSummand, ...]:
+    """The nonzero summands of MC(e_a, e_b), in ascending l3.
+
+    Every criterion reads its summands here, so the degree rule is stated
+    here once: e_lm = grad-perp Y_lm vanishes for l = 0, so both degrees
+    must be >= 1, or ValueError is raised.
+    """
+    if a.l < 1 or b.l < 1:
+        raise ValueError("both degrees must be >= 1")
     l1, m1, l2, m2 = a.l, a.m, b.l, b.m
     m3 = -(m1 + m2)
     turn = _turn(l1)
@@ -177,15 +181,9 @@ class MCReport(Frozen):
         coriolis = self.coriolis_term
         return value if coriolis is _ZERO_VALUE else value + coriolis
 
-    @property
-    def value_float(self) -> float:
-        return self.value.to_float()
-
 
 def mc_flat(a: HarmonicIndex, b: HarmonicIndex) -> MCReport:
     """Criterion along the steady flow of Y_a probed by Y_b, no rotation."""
-    if a.l < 1 or b.l < 1:
-        raise ValueError("both degrees must be >= 1")
     return MCReport(_flat_summands(a, b))
 
 
@@ -212,11 +210,12 @@ def mc_combination(a: HarmonicIndex, base: HarmonicIndex,
         raise OrderCollisionError("probe orders must be pairwise distinct")
     merged = {s.l3: s for s in _flat_summands(a, base)}
     for x, idx in perturbations:
+        summands = _flat_summands(a, idx)  # before the skip: a zero weight keeps the degree rule
         weight_sq = _abs_squared(x)
         if weight_sq == 0:
             continue
         p, q = weight_sq.numerator, weight_sq.denominator
-        for s in _flat_summands(a, idx):
+        for s in summands:
             prev = merged.get(s.l3)
             num, den = s.num * p, s.den * q
             if prev is not None:
@@ -238,8 +237,6 @@ def coriolis_slope(a: HarmonicIndex, b: HarmonicIndex) -> MCValue:
 def mc_coriolis(a: HarmonicIndex, b: HarmonicIndex, rotation: Numeric) -> MCReport:
     """Criterion on the rotating sphere: flat value, self-coupling penalty
     -m1^2 when probe equals flow, and the rotation term a*(-1)^{m2} m2 g."""
-    if a.l < 1 or b.l < 1:
-        raise ValueError("both degrees must be >= 1")
     delta = Fraction(-a.m * a.m) if a == b else Fraction(0)
     return MCReport(_flat_summands(a, b), delta, coriolis_slope(a, b), Fraction(rotation))
 
@@ -286,13 +283,11 @@ def critical_ratio(l1: int, l2: int, m2: int) -> dict:
 def critical_table(l1: int, l2_max: int = 6) -> Dict[Tuple[int, int], dict]:
     """Full ratio grid ``{(l2, m2): record}`` over 1 <= l2, m2 <= l2_max, row-major.
 
-    Each record is that of ``critical_ratio``; cells with m2 > l2 have status
-    "not-applicable", never conflated with the undefined (vanishing
-    denominator) cells.  Even l1 gives an all-undefined grid because the
-    rotation term then vanishes identically.
+    Each record is that of ``critical_ratio``, which also refuses l1 < 1;
+    cells with m2 > l2 have status "not-applicable", never conflated with
+    the undefined (vanishing denominator) cells.  Even l1 gives an
+    all-undefined grid because the rotation term then vanishes identically.
     """
-    if l1 < 1:
-        raise ValueError("requires l1 >= 1")
     if l2_max < 1:
         raise ValueError("requires l2_max >= 1")
     return {

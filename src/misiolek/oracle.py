@@ -199,11 +199,6 @@ class QuadratureGrid:
         self._harmonics[key] = fn
         return fn
 
-    def _cached(self, idx: HarmonicIndex) -> GridFunction:
-        """The grid harmonic idx; a first request is validated by ``harmonic``."""
-        fn = self._harmonics.get((idx.l, idx.m))
-        return fn if fn is not None else self.harmonic(idx)
-
     def _duals_of_order(self, m: int) -> List[np.ndarray]:
         """Flattened duals of Y_{l m} for l = |m| .. l_max, in ascending l.
 
@@ -256,13 +251,12 @@ def oracle_structure_coeff(a: HarmonicIndex, probes: GridFunction,
     no other harmonic.  Each value is bit for bit that of
     ``grid.pair_conjugated(poisson_bracket(Y_a, Y_b), Y_{l3 m3})``.
     """
+    ya = grid.harmonic(a)
     shape = (len(grid.mu), len(grid.lam))
-    if a.l > grid.l_max:
-        raise ValueError(f"degree {a.l} exceeds grid resolution l_max={grid.l_max}")
     if probes.values.shape[-2:] != shape:
         raise ValueError("the probes must be sampled on this grid")
     m3 = a.m + probes.m
-    brackets = poisson_bracket(grid._cached(a), probes).values.reshape(-1, shape[0] * shape[1])
+    brackets = poisson_bracket(ya, probes).values.reshape(-1, shape[0] * shape[1])
     duals = grid._duals_of_order(m3)
     return [{l3: complex(row.dot(dual)) for l3, dual in enumerate(duals, start=abs(m3))}
             for row in brackets]

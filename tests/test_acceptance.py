@@ -172,7 +172,7 @@ def test_criterion_8_rhw_identities():
             for eps, positive in ((1e-6, True), (-1e-6, False)):
                 amp = math.sqrt(threshold * (1 + eps))
                 wave = RHWave(A=amp, C=1.0, index=H(l1, m1), a=-K)
-                value = rhw_mc(wave, H(m, -m)).value_float
+                value = rhw_mc(wave, H(m, -m)).value.to_float()
                 assert (value > 0) == positive, (l1, m1, m, K, eps, value)
     _report(8, "wave criterion equals K C^2 exactly for degree-one probes and "
                "the amplitude threshold separates signs at 1e-6 offsets")

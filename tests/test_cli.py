@@ -255,7 +255,10 @@ def test_rhw_zero_amplitude_record(capsys):
     (("rhw", "--wave", "3", "0", "--threshold", "2"), lambda: rhw_threshold(3, 0, 2)),
     (("rhw", "--wave", "0", "0", "--probe", "1", "1"),
      lambda: RHWave(A=0, C=1, index=HarmonicIndex(0, 0))),
-], ids=["negative-degree", "degree-zero", "zonal-wave-probe", "zonal-wave-threshold", "no-phase-speed"])
+    (("rhw", "--wave", "3", "2", "--probe", "0", "0"),
+     lambda: rhw_mc(RHWave(A=0, C=1, index=HarmonicIndex(3, 2)), HarmonicIndex(0, 0))),
+], ids=["negative-degree", "degree-zero", "zonal-wave-probe", "zonal-wave-threshold", "no-phase-speed",
+        "degree-zero-probe"])
 def test_library_domain_error_is_usage_error(capsys, argv, call):
     # The CLI states none of these rules; the library's own text reaches stderr.
     assert usage_error_line(capsys, *argv).endswith(f"error: {argv[0]}: {library_error(call)}")

@@ -88,7 +88,7 @@ def test_corpus_has_the_digest_queries_and_the_edge_cases():
 def test_cli_output_matches_the_golden(capsys, tmp_path):
     text = replay(corpus_invocations() + EDGE_CASES, capsys)
     got = text.splitlines()
-    want = GOLDEN.read_text().splitlines() if GOLDEN.exists() else []
+    want = GOLDEN.read_text().splitlines()
     if got == want:
         return
     written = tmp_path / "cli_corpus.txt"

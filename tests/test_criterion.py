@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import misiolek.criterion
 import misiolek.exact
+import misiolek.suites
 from misiolek.checks import SuiteResult
 from misiolek.criterion import (
     MCReport,
@@ -33,7 +34,7 @@ from misiolek.criterion import (
 from misiolek.exact import SignedSqrtRational, to_double
 from misiolek.oracle import QuadratureGrid
 from misiolek.structure import HarmonicIndex as H
-from misiolek.suites import theorem_suite
+from misiolek.suites import check_reference_table, theorem_suite
 
 
 def float_ulps(a, b):
@@ -115,13 +116,13 @@ def test_mc_flat_rigid_rotation_probe_value():
     report = mc_flat(H(1, 0), H(2, 2))
     assert report.value.over_pi == -12
     assert report.value.rational == 0
-    assert report.value_float == pytest.approx(-12 / math.pi, rel=1e-15)
+    assert report.value.to_float() == pytest.approx(-12 / math.pi, rel=1e-15)
 
 
 def test_mc_flat_positive_instance():
     report = mc_flat(H(3, 2), H(2, -2))
     assert report.value.over_pi == 10
-    assert report.value_float > 0
+    assert report.value.to_float() > 0
 
 
 def test_mc_flat_requires_positive_degrees():
@@ -129,13 +130,31 @@ def test_mc_flat_requires_positive_degrees():
         mc_flat(H(0, 0), H(2, 1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mc_flat(H(3, 1), H(0, 0)),
+    lambda: mc_coriolis(H(0, 0), H(2, 1), 1),
+    lambda: mc_coriolis(H(3, 0), H(0, 0), 0),
+    lambda: mc_combination(H(0, 0), H(2, 1), []),
+    lambda: mc_combination(H(3, 1), H(0, 0), [(1, H(2, 1))]),
+    lambda: mc_combination(H(3, 1), H(2, 1), [(1, H(0, 0))]),
+    lambda: mc_combination(H(3, 1), H(2, 1), [(0, H(0, 0))]),
+    lambda: rhw_mc(RHWave(A=1, C=1, index=H(3, 2)), H(0, 0)),
+], ids=["mc_flat", "mc_coriolis-flow", "mc_coriolis-probe", "mc_combination-flow",
+        "mc_combination-base", "mc_combination-perturbation", "mc_combination-zero-weight", "rhw_mc"])
+def test_every_criterion_refuses_degree_zero_with_one_error(call):
+    # e_lm vanishes for l = 0; no entry point returns a silent zero term for it.
+    with pytest.raises(ValueError, match=r"^both degrees must be >= 1$"):
+        call()
+
+
 def test_mc_report_decomposition_consistency():
     report = mc_flat(H(4, 3), H(3, -2))
-    assert report.value.over_pi == report.flat_over_pi == sum(s.contribution_over_pi for s in report.summands)
+    contributions = (Fraction(s.num * s.weight, s.den) for s in report.summands)
+    assert report.value.over_pi == report.flat_over_pi == sum(contributions)
     for s in report.summands:
         assert abs(4 - 3) + 1 <= s.l3 <= 4 + 3 - 1
         assert s.weight == 4 * 5 - s.l3 * (s.l3 + 1)
-    assert float_ulps(report.value_float, float(report.flat_over_pi) / math.pi) <= 4
+    assert float_ulps(report.value.to_float(), float(report.flat_over_pi) / math.pi) <= 4
 
 
 def assert_order_negation_symmetric(a, b):
@@ -179,7 +198,7 @@ def test_mc_combination_positivity_threshold():
     threshold = mc1 / -mc2
     for scale, positive in ((0.999, True), (1.001, False)):
         x = math.sqrt(float(threshold)) * scale
-        value = mc_combination(H(3, 2), H(2, -2), [(x, H(3, -1))]).value_float
+        value = mc_combination(H(3, 2), H(2, -2), [(x, H(3, -1))]).value.to_float()
         assert (value > 0) == positive
 
 
@@ -220,8 +239,8 @@ def test_mc_coriolis_affine_in_rate():
 
 def test_mc_coriolis_table_cell_sign():
     # reference cell (l1, l2, m2) = (3, 2, 1) has critical rate 2.983
-    assert mc_coriolis(H(3, 0), H(2, 1), 5.0).value_float > 0
-    assert mc_coriolis(H(3, 0), H(2, 1), 2.9).value_float < 0
+    assert mc_coriolis(H(3, 0), H(2, 1), 5.0).value.to_float() > 0
+    assert mc_coriolis(H(3, 0), H(2, 1), 2.9).value.to_float() < 0
 
 
 def test_critical_ratio_reference_cells():
@@ -491,7 +510,7 @@ def test_rhw_threshold_separates_signs(l1, m1, m):
         for eps, positive in ((1e-6, True), (-1e-6, False)):
             amp = math.sqrt(threshold * (1 + eps))
             wave = RHWave(A=amp, C=1.0, index=H(l1, m1), a=-K)
-            value = rhw_mc(wave, H(m, -m)).value_float
+            value = rhw_mc(wave, H(m, -m)).value.to_float()
             assert (value > 0) == positive
 
 
@@ -564,7 +583,7 @@ def test_theorem_signs_are_the_integer_numerators(monkeypatch):
         num, den = misiolek.criterion._flat_sum(report.summands)
         flat = report.flat_over_pi
         assert den > 0 and Fraction(num, den) == flat
-        assert flat == sum((s.contribution_over_pi for s in report.summands), Fraction(0))
+        assert flat == sum((Fraction(s.num * s.weight, s.den) for s in report.summands), Fraction(0))
         signs.append((num > 0) - (num < 0))
         assert signs[-1] == (flat > 0) - (flat < 0)
     assert len(signs) == 1401 and set(signs) == {-1, 0, 1}
@@ -592,6 +611,56 @@ def test_theorem_blocks_fail_on_a_flipped_sum(monkeypatch):
     assert len(zonal.failures) == negative > 0
 
 
+def test_probe_positivity_fails_on_a_chain_with_equal_ratios(monkeypatch):
+    # (4, 4, 4) is the one pair with l1 = m = 4 up to degree 4; its honest
+    # chain is 4732/1375 < 20449/490, and a repeated first ratio is not increasing.
+    honest = misiolek.criterion.positivity_chain
+
+    def repeated(l1, m, summands):
+        chain = honest(l1, m, summands)
+        return chain[:1] * len(chain) if (l1, m) == (4, 4) else chain
+
+    monkeypatch.setattr(misiolek.criterion, "positivity_chain", repeated)
+    result = SuiteResult("theorem", 4)
+    check_probe_positivity(result, 4)
+    assert result.failures == ["positivity chain not increasing for (4,4,4)"]
+
+
+def test_reference_table_fails_on_a_flipped_direction(monkeypatch):
+    honest = misiolek.suites.critical_table
+
+    def flipped(l1, l2_max):
+        table = honest(l1, l2_max)
+        table[2, 1] = dict(table[2, 1], direction="<")
+        return table
+
+    monkeypatch.setattr(misiolek.suites, "critical_table", flipped)
+    result = SuiteResult("table", 7)
+    check_reference_table(result, 3)
+    assert result.failures == ["l1=3 cell (2,1) direction < vs sign of 2.983"]
+
+
+@pytest.mark.parametrize("call", [1, 2], ids=["inside", "outside"])
+def test_reference_table_fails_on_a_boundary_value_of_zero(monkeypatch, call):
+    # The rate just inside the critical ratio (the cell's first call) must
+    # give a value > 0 and the rate just outside one < 0; exactly 0.0 fails either.
+    honest = misiolek.suites.mc_coriolis
+    rates = []
+
+    def zero_at_cell(a, b, rotation):
+        if (b.l, b.m) == (2, 1):
+            rates.append(rotation)
+            if len(rates) == call:
+                return MCReport(())
+        return honest(a, b, rotation)
+
+    monkeypatch.setattr(misiolek.suites, "mc_coriolis", zero_at_cell)
+    assert MCReport(()).value.to_float() == 0.0
+    result = SuiteResult("table", 7)
+    check_reference_table(result, 3)
+    assert result.failures == ["l1=3 cell (2,1) boundary sign pattern wrong"]
+
+
 def test_scan_exclusions_hold():
     # the guarantee does not cover e_{2 1} probes; the criterion is indeed
     # nonpositive there, so the scan must not include those pairs
@@ -615,4 +684,4 @@ def test_float_is_the_exact_value_correctly_rounded(l1, m1, l2, m2, rate):
         return
     report = mc_coriolis(H(l1, m1), H(l2, m2), rate)
     with mpmath.workdps(60):
-        assert report.value_float == float(mp_value(report.value))
+        assert report.value.to_float() == float(mp_value(report.value))

@@ -1,5 +1,6 @@
 """Quadrature oracle: the Legendre recurrence, harmonics, brackets, projections."""
 
+import json
 import math
 import os
 import random
@@ -21,6 +22,7 @@ from misiolek.oracle import (
     oracle_structure_coeff,
     poisson_bracket,
 )
+from misiolek.cli import main
 from misiolek.structure import HarmonicIndex, bracket_coefficient, bracket_expand
 from misiolek.suites import oracle_suite
 
@@ -497,6 +499,47 @@ def test_oracle_suite_reports_injected_errors(monkeypatch, injected):
     summary = result.summary()
     assert (summary["checks"], summary["failures"], summary["first_failure"]) == (1008, len(want), want[0])
     assert 1e-6 <= summary["max_deviation"] < 1.01e-6
+
+
+def test_oracle_suite_fails_on_a_nan_coefficient(monkeypatch, capsys):
+    # A NaN deviation is never within tolerance; max_deviation stays the
+    # largest finite one, so the failed run still writes its summary.
+    def coefficient(m3, g, exact=misiolek.suites.bracket_coefficient):
+        return math.nan if m3 % 2 else exact(m3, g)
+
+    monkeypatch.setattr(misiolek.suites, "bracket_coefficient", coefficient)
+    # The suite compares each nonzero exact coefficient with l3 <= 3.
+    odd = sum(l3 <= 3 for a, b in _suite_pairs(3) if (a.m + b.m) % 2 for l3 in bracket_expand(a, b))
+    result = oracle_suite(3)
+    assert len(result.failures) == odd > 0
+    assert all(f.startswith("structure coefficient off at") and f.endswith(": dev nan")
+               for f in result.failures)
+    assert 0 < result.max_deviation < 1e-12
+    assert main(["verify", "--suite", "oracle", "--lmax", "3"]) == 1
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert (summary["checks"], summary["failures"]) == (1008, odd)
+    assert summary["max_deviation"] == result.max_deviation
+    assert err.splitlines()[0] == f"FAIL [oracle] {result.failures[0]}"
+
+
+class _NaNGrid(QuadratureGrid):
+    """A grid whose Y_{2 1} dual is NaN at one node."""
+
+    @classmethod
+    def for_degree(cls, l_max):
+        grid = super().for_degree(l_max)
+        grid.harmonic(HarmonicIndex(2, 1)).dual[0, 0] = math.nan
+        return grid
+
+
+def test_oracle_suite_fails_on_a_nan_pairing(monkeypatch):
+    monkeypatch.setattr(misiolek.suites, "QuadratureGrid", _NaNGrid)
+    result = oracle_suite(3)
+    pairing = [f for f in result.failures if f.startswith("pairing identity off")]
+    # Each of the 16 harmonics pairs with Y_{2 1}'s NaN dual.
+    assert len(pairing) == 16 and all(f.endswith(", HarmonicIndex(l=2, m=1): dev nan") for f in pairing)
+    assert 0 < result.max_deviation < 1e-12
 
 
 def test_oracle_matches_exact_pipeline_small(grid):

@@ -242,3 +242,19 @@ def test_threej_symmetry_block_reports_a_flipped_symbol(monkeypatch):
         "column swap off at (1,2,2,0,1)", "order negation off at (2,1,2,-1,0)",
         "column swap off at (2,1,2,1,0)", "order negation off at (2,1,2,1,0)",
     ]
+
+
+def test_orthogonality_block_reports_a_sum_below_one(monkeypatch):
+    # Halving one symbol leaves its group's sum at 3/4: a sum too small fails
+    # as a sum too large does.
+    honest = threej_lm
+    halved = (1, 1, 0, 0, 0, 0)
+
+    def one_halved(*args):
+        value = honest(*args)
+        return value.scale(Fraction(1, 2)) if args == halved else value
+
+    monkeypatch.setattr(misiolek.suites, "threej_lm", one_halved)
+    result = SuiteResult("wigner", 2)
+    check_orthogonality(result, 2)
+    assert result.failures == ["orthogonality off at (1,1,0,0)"]
